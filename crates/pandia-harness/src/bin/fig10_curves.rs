@@ -2,18 +2,16 @@
 //! X5-2 (Figure 1 covers MD; this binary regenerates all 22 curves).
 //!
 //! `cargo run --release -p pandia-harness --bin fig10_curves [--quick]
-//! [--jobs N] [--no-cache] [--naive-sim] [machine]`
+//! [--jobs N] [--no-cache] [machine]`
 //!
 //! With `--events-out FILE` the span-event stream is appended after each
 //! workload, so a long sweep is watchable in flight (`tail -f`); pair a
 //! full-coverage `--trace-out` capture with `--trace-buffer SPANS` when
 //! the sweep records more than the default 2^18 spans.
 //!
-//! `--naive-sim` disables the simulator's incremental fast path (solve
-//! reuse + steady-segment coalescing) so CI can assert both engine paths
-//! emit byte-identical results. `--legacy-soa` likewise falls back to the
-//! per-entity-struct segment walk so the structure-of-arrays hot path can
-//! be `cmp`'d against its reference on the full sweep.
+//! The simulator has one engine path. Its fast paths (segment memo, solve
+//! reuse) are checked bit for bit against a short reference engine by the
+//! `pandia-sim` unit tests, so a sweep needs no engine-mode switch.
 
 use std::time::Instant;
 
@@ -24,27 +22,14 @@ use pandia_harness::{
     },
     metrics, report, MachineContext,
 };
-use pandia_sim::{SimConfig, SimMachine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut telemetry = telemetry_from_args();
     let quiet = quiet_from_args();
     let coverage = Coverage::from_args();
     let exec = exec_from_args();
-    let naive = std::env::args().any(|a| a == "--naive-sim");
-    let legacy_soa = std::env::args().any(|a| a == "--legacy-soa");
     let machine = positional_args().into_iter().next().unwrap_or_else(|| "x5-2".into());
-    let mut ctx = MachineContext::by_name(&machine)?;
-    if naive || legacy_soa {
-        let mut config = SimConfig::default();
-        if naive {
-            config = config.with_incremental(false);
-        }
-        if legacy_soa {
-            config = config.with_soa(false);
-        }
-        ctx.platform = SimMachine::with_config(ctx.spec.clone(), config);
-    }
+    let ctx = MachineContext::by_name(&machine)?;
     let placements = coverage.placements(&ctx);
     let workloads = runnable_workloads(&ctx, pandia_workloads::paper_suite());
     if !quiet {

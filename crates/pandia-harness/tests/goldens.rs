@@ -105,42 +105,6 @@ fn zero_fault_plan_leaves_goldens_byte_identical() {
     check_or_bless("fig11_x3-2.csv", &report::error_csv(&bars.stats));
 }
 
-/// The incremental fast path (solve reuse + steady-segment coalescing,
-/// on by default) must be invisible in the committed outputs: running the
-/// same sweeps with `incremental` disabled must reproduce the fig10/fig11
-/// goldens byte for byte. Together with the default-config test above,
-/// this pins both engine paths to the same bytes.
-#[test]
-fn incremental_escape_hatch_leaves_goldens_byte_identical() {
-    let mut ctx = MachineContext::by_name("x3-2").expect("x3-2 preset");
-    ctx.platform = SimMachine::with_config(
-        ctx.spec.clone(),
-        SimConfig::default().with_incremental(false),
-    );
-    let placements = ctx.enumerator().sampled(&ctx.spec, 3);
-    let exec = ExecContext::new(2).with_cache(true);
-    let workloads: Vec<_> = WORKLOADS
-        .iter()
-        .map(|n| pandia_workloads::by_name(n).expect("registered workload"))
-        .collect();
-
-    for w in &workloads {
-        let curve = curves::workload_curve_with(&exec, &ctx, w, &placements)
-            .expect("placement sweep");
-        check_or_bless(
-            &format!("fig10_x3-2_{}.csv", w.name),
-            &report::curve_csv(&curve),
-        );
-    }
-    let bars = errors::error_bars_with(&exec, &ctx, &workloads, &placements)
-        .expect("error sweep");
-    check_or_bless("fig11_x3-2.txt", &report::error_table(
-        &format!("Figure 11 — errors on {}", bars.title),
-        &bars.stats,
-    ));
-    check_or_bless("fig11_x3-2.csv", &report::error_csv(&bars.stats));
-}
-
 /// Coalescing must never skip over an injected fault: with a nonzero
 /// [`FaultPlan`] armed, every segment boundary is preserved (the engine
 /// reports zero coalesced segments), while the same run without the plan

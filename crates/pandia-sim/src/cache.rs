@@ -39,27 +39,6 @@ pub fn spill_fraction(working_set_mib: f64, l3_mib: f64, adaptive: bool) -> f64 
     }
 }
 
-/// Spill state for every socket of a machine, rebuilt when the set of
-/// resident entities changes.
-#[derive(Debug, Clone)]
-pub struct SocketSpill {
-    /// Per-socket spill fraction in `[0, 1]`.
-    pub per_socket: Vec<f64>,
-}
-
-impl SocketSpill {
-    /// Computes per-socket spill fractions from per-socket resident working
-    /// sets.
-    pub fn compute(working_sets_mib: &[f64], l3_mib: f64, adaptive: bool) -> Self {
-        Self {
-            per_socket: working_sets_mib
-                .iter()
-                .map(|&w| spill_fraction(w, l3_mib, adaptive))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +84,5 @@ mod tests {
     #[test]
     fn no_caches_never_spills() {
         assert_eq!(spill_fraction(1000.0, 0.0, true), 0.0);
-    }
-
-    #[test]
-    fn socket_spill_is_per_socket() {
-        let s = SocketSpill::compute(&[10.0, 90.0], 45.0, true);
-        assert_eq!(s.per_socket[0], 0.0);
-        assert!((s.per_socket[1] - 0.25).abs() < 1e-9);
     }
 }

@@ -31,25 +31,12 @@ impl DvfsState {
         turbo: bool,
         fill_background: bool,
     ) -> Self {
-        let socket_ghz: Vec<f64> = (0..spec.sockets)
-            .map(|s| {
-                let active = if fill_background {
-                    spec.cores_per_socket
-                } else {
-                    active_cores_per_socket.get(s).copied().unwrap_or(0).max(1)
-                };
-                spec.turbo.frequency_ghz(active, spec.cores_per_socket, turbo)
-            })
-            .collect();
-        let socket_scale =
-            socket_ghz.iter().map(|g| g / spec.turbo.nominal_ghz).collect();
-        Self { socket_ghz, socket_scale }
+        let mut state = Self::default();
+        state.compute_into(spec, active_cores_per_socket, turbo, fill_background);
+        state
     }
 
-    /// Recomputes the operating point in place, reusing this state's
-    /// buffers. Bit-identical to [`DvfsState::compute`] on the same
-    /// inputs: the per-socket expressions are the same, only the storage
-    /// is reused instead of collected fresh.
+    /// [`DvfsState::compute`] in place, reusing this state's buffers.
     pub fn compute_into(
         &mut self,
         spec: &MachineSpec,

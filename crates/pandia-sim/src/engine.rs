@@ -22,13 +22,13 @@ use std::collections::{hash_map::Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use pandia_topology::{
-    Counters, CoreId, CtxId, DataPlacement, MachineSpec, Placement, ResourceTable, RunResult,
-    SocketId, StressPin,
+    CoreId, Counters, CtxId, DataPlacement, MachineSpec, Placement, ResourceId, ResourceKind,
+    ResourceTable, RunResult, SocketId, StressPin,
 };
 
 use crate::{
     behavior::Behavior,
-    cache::{spill_fraction, SocketSpill},
+    cache::spill_fraction,
     dvfs::DvfsState,
     equilibrium::{self, EntityDemand},
     fault::{FaultPlan, SimError},
@@ -59,27 +59,9 @@ pub struct EngineConfig {
     /// Hard cap on segments, as a runaway guard.
     pub max_segments: usize,
     /// Deterministic fault-injection schedule. The default plan injects
-    /// nothing and is byte-identical to an engine without the fault layer.
+    /// nothing and is byte-identical to an engine without the fault layer;
+    /// an armed plan also turns the segment memo off.
     pub faults: FaultPlan,
-    /// Enables the incremental fast path: equilibrium solves are answered
-    /// from the previous segment's allocation when the inputs are bitwise
-    /// unchanged (or warm-started when exactly one entity finished), and
-    /// segments whose full input triple — runnable set, burst multipliers,
-    /// relaxation warm start — recurs bit-for-bit are replayed from a memo
-    /// instead of recomputed (a fault plan disables replay). Both
-    /// shortcuts are bit-identical to the naive loop; this switch exists
-    /// so tests can run both and assert equivalence.
-    pub incremental: bool,
-    /// Enables the structure-of-arrays segment middle: the per-entity
-    /// fields the hot path reads are laid out as contiguous per-field
-    /// arrays built once per run, and every per-segment working buffer
-    /// (occupancy, spill, interference, demand bundles, relaxation state)
-    /// is reused across segments instead of reallocated. The arithmetic —
-    /// every operand, in the same order — is identical to the legacy
-    /// per-entity-struct walk, so results are bit-identical; this switch
-    /// exists so the differential oracle suite can run both layouts and
-    /// assert equivalence.
-    pub soa: bool,
 }
 
 impl Default for EngineConfig {
@@ -92,8 +74,6 @@ impl Default for EngineConfig {
             max_lock_rho: 0.98,
             max_segments: 20_000,
             faults: FaultPlan::none(),
-            incremental: true,
-            soa: true,
         }
     }
 }
@@ -118,26 +98,26 @@ pub struct SimStats {
     pub solves_batched: u64,
 }
 
-/// One memoized segment middle: everything the full per-segment
-/// computation produces from its (runnable set, burst multipliers,
-/// relaxation warm start) input triple. The exact key is kept alongside
-/// the outputs: the memo is addressed by a 128-bit fingerprint, and each
+/// Everything a segment middle produces from its (runnable set, burst
+/// multipliers, relaxation warm start) input triple: per-runnable rates,
+/// per-group rates, the trace's hottest resource, and the per-socket
+/// spill the counters charge.
+struct Middle {
+    rates: Vec<f64>,
+    group_rate: Vec<f64>,
+    hottest: Option<(ResourceKind, f64)>,
+    spill_frac_socket: Vec<f64>,
+}
+
+/// One memoized segment middle. The exact key is kept alongside the
+/// outputs: the memo is addressed by a 128-bit fingerprint, and each
 /// probe verifies the resident key word for word, so a fingerprint
 /// collision degrades to a recompute — never to a wrong replay.
 struct CachedSegment {
     key: Vec<u64>,
-    rates: Vec<f64>,
-    group_rate: Vec<f64>,
-    hottest: Option<(pandia_topology::ResourceKind, f64)>,
-    spill_frac_socket: Vec<f64>,
+    middle: Middle,
 }
 
-/// 128-bit fingerprint of a memo key: two independent FNV-1a chains over
-/// the words (the second pre-rotates each word so the chains never
-/// collide together). One multiply per word per chain — this runs on
-/// every segment, hit or miss, so it is the hot edge of the memo. It
-/// only has to make collisions rare, not impossible — exactness comes
-/// from the full-key verification on every probe.
 /// Pass-through hasher for the segment memo: the map key *is* a 128-bit
 /// fingerprint, already uniformly distributed, so rehashing it per probe
 /// would be pure overhead. The two words are folded with a rotate so both
@@ -160,6 +140,12 @@ impl Hasher for FpHasher {
     }
 }
 
+/// 128-bit fingerprint of a memo key: two independent FNV-1a chains over
+/// the words (the second pre-rotates each word so the chains never
+/// collide together). One multiply per word per chain — this runs on
+/// every segment, hit or miss, so it is the hot edge of the memo. It
+/// only has to make collisions rare, not impossible — exactness comes
+/// from the full-key verification on every probe.
 fn seg_fingerprint(words: &[u64]) -> (u64, u64) {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut a = 0xCBF2_9CE4_8422_2325_u64;
@@ -376,6 +362,337 @@ pub fn run_multi_stats(
     run_multi_impl(inputs, config, None)
 }
 
+/// The run state around the segment middle: the entities, the per-group
+/// pools and counters, and the segment clock. Construction, the
+/// per-segment bookkeeping and result assembly are unoptimized phases,
+/// so the production loop and the test-only reference engine (`spec`)
+/// share them; only the middle differs.
+struct RunState<'a> {
+    inputs: &'a MultiRunInputs<'a>,
+    config: &'a EngineConfig,
+    entities: Vec<Entity>,
+    groups: Vec<GroupState>,
+    /// Entities with work this segment, ascending.
+    runnable: Vec<usize>,
+    /// Remaining work per group (private shares plus pool).
+    group_remaining: Vec<f64>,
+    pool_draw: Vec<f64>,
+    /// Each entity's rate in the last segment it ran: the relaxation warm
+    /// start.
+    prev_rates: Vec<f64>,
+    elapsed: f64,
+    segment: usize,
+    quantum: f64,
+}
+
+impl<'a> RunState<'a> {
+    /// Builds the entities and groups of a run. Transient faults kill the
+    /// whole measurement window before any result is produced; a retry
+    /// with a fresh seed re-draws the schedule.
+    fn new(inputs: &'a MultiRunInputs<'a>, config: &'a EngineConfig) -> Result<Self, SimError> {
+        if config.faults.transient_faults(inputs.seed) {
+            if pandia_obs::enabled() {
+                pandia_obs::count("sim.faults_injected", 1);
+            }
+            return Err(SimError::TransientFault { seed: inputs.seed });
+        }
+        let spec = inputs.spec;
+        let n_groups = inputs.groups.len();
+        let mut entities: Vec<Entity> = Vec::new();
+        let mut groups: Vec<GroupState> = Vec::with_capacity(n_groups);
+
+        for (g, group) in inputs.groups.iter().enumerate() {
+            let behavior = group.behavior;
+            let n_threads = group.placement.n_threads();
+            let workers = behavior.workers_of(n_threads);
+            let total_work = behavior.work_for_threads(workers);
+            let policy = group.data_placement.unwrap_or(behavior.data_placement);
+            let threads_per_socket = group.placement.threads_per_socket(spec);
+            let dyn_frac = behavior.scheduling.dynamic_fraction();
+            let static_share =
+                if workers > 0 { total_work * (1.0 - dyn_frac) / workers as f64 } else { 0.0 };
+            for (t, &ctx) in group.placement.contexts().iter().enumerate() {
+                let socket = spec.socket_of_ctx(ctx);
+                let is_active = t < workers;
+                entities.push(Entity {
+                    class: EntityClass::Worker(t),
+                    group: g,
+                    core: spec.core_of_ctx(ctx),
+                    socket,
+                    // lint: allow(H2): one-time entity construction per run, not per step
+                    behavior: behavior.clone(),
+                    dram_split: dram_split(policy, spec, socket, &threads_per_socket, n_threads),
+                    private_work: if is_active { static_share } else { 0.0 },
+                    work_done: 0.0,
+                    busy_time: 0.0,
+                    finished: !is_active,
+                });
+            }
+            groups.push(GroupState {
+                total_work,
+                pool: total_work * dyn_frac,
+                pool_capable: dyn_frac > 0.0,
+                workers,
+                counters: Counters { dram_bytes: vec![0.0; spec.sockets], ..Counters::default() },
+                finish_time: None,
+            });
+        }
+        for pin in inputs.stressors {
+            let ctx = pin.ctx;
+            let socket = spec.socket_of_ctx(ctx);
+            let sb = stress::behavior(spec, pin.kind);
+            let split = dram_split(sb.data_placement, spec, socket, &[], 0);
+            entities.push(Entity {
+                class: EntityClass::Stressor,
+                group: usize::MAX,
+                core: spec.core_of_ctx(ctx),
+                socket,
+                behavior: sb,
+                dram_split: split,
+                private_work: 0.0,
+                work_done: 0.0,
+                busy_time: 0.0,
+                finished: false,
+            });
+        }
+
+        Ok(Self {
+            inputs,
+            config,
+            runnable: Vec::new(),
+            group_remaining: vec![0.0; n_groups],
+            pool_draw: vec![0.0; n_groups],
+            prev_rates: vec![1.0; entities.len()],
+            entities,
+            groups,
+            elapsed: 0.0,
+            segment: 0,
+            quantum: f64::INFINITY,
+        })
+    }
+
+    /// Settles the remaining work and the runnable set for the next
+    /// segment; false once no worker has work left or the segment cap is
+    /// reached.
+    fn next_segment(&mut self) -> bool {
+        let (entities, groups) = (&self.entities[..], &self.groups[..]);
+        let group_remaining = &mut self.group_remaining[..];
+        for (g, gs) in groups.iter().enumerate() {
+            group_remaining[g] = gs.pool;
+        }
+        for e in entities {
+            if e.is_worker() {
+                group_remaining[e.group] += e.private_work;
+            }
+        }
+        let runnable = &mut self.runnable;
+        runnable.clear();
+        for (i, e) in entities.iter().enumerate() {
+            let has_work = match e.class {
+                EntityClass::Worker(_) => {
+                    !e.finished
+                        && (e.private_work > 0.0
+                            || (groups[e.group].pool_capable && groups[e.group].pool > 0.0))
+                }
+                EntityClass::Stressor => true,
+            };
+            if has_work {
+                runnable.push(i);
+            }
+        }
+        let remaining: f64 = group_remaining.iter().sum();
+        if remaining <= 0.0 || runnable.iter().all(|&i| !entities[i].is_worker()) {
+            return false;
+        }
+        self.segment < self.config.max_segments
+    }
+
+    /// Closes the segment whose middle produced `seg`: picks its length,
+    /// records it in the trace, advances work and counters, and settles
+    /// pools, finished workers and group finish times. False when nothing
+    /// progresses (a deadlock guard that should never fire).
+    fn advance(&mut self, seg: &Middle, trace: Option<&mut RunTrace>) -> bool {
+        let (entities, groups) = (&mut self.entities[..], &mut self.groups[..]);
+        let (runnable, group_remaining) = (&self.runnable[..], &self.group_remaining[..]);
+        let (pool_draw, prev_rates) = (&mut self.pool_draw[..], &mut self.prev_rates[..]);
+        // Segment length: cover a fraction of the remaining runtime of the
+        // group closest to finishing, so completion times stay sharp.
+        let mut min_ttf = f64::INFINITY;
+        let mut total_rate = 0.0;
+        for (rem, rate) in group_remaining.iter().zip(&seg.group_rate) {
+            if *rem > 0.0 && *rate > 1e-12 {
+                min_ttf = min_ttf.min(rem / rate);
+            }
+            total_rate += rate;
+        }
+        if total_rate <= 1e-12 || !min_ttf.is_finite() {
+            return false;
+        }
+        // Segments are equal-length (a fixed quantum derived from the
+        // first segment's time-to-finish estimate) until the geometric
+        // tail takes over; once a group's residue is negligible, close it
+        // out exactly.
+        if self.segment == 0 {
+            self.quantum = min_ttf / self.config.min_segments.max(1) as f64;
+        }
+        let closing = (0..groups.len()).any(|g| {
+            group_remaining[g] > 0.0
+                && group_remaining[g] <= groups[g].total_work * 1e-3
+                && seg.group_rate[g] > 1e-12
+        });
+        let dt = if closing {
+            min_ttf
+        } else {
+            (min_ttf * self.config.segment_fraction).min(self.quantum)
+        };
+
+        if let Some(trace) = trace {
+            trace.segments.push(TraceSegment {
+                start: self.elapsed,
+                dt,
+                group_rates: seg.group_rate.clone(),
+                hottest: seg.hottest,
+                runnable: runnable.len(),
+            });
+        }
+
+        // Progress work and accumulate counters.
+        pool_draw.fill(0.0);
+        for (k, &i) in runnable.iter().enumerate() {
+            let e = &mut entities[i];
+            if !e.is_worker() {
+                continue;
+            }
+            let progress = seg.rates[k] * dt;
+            let from_private = progress.min(e.private_work);
+            e.private_work -= from_private;
+            let from_pool = if groups[e.group].pool_capable { progress - from_private } else { 0.0 };
+            pool_draw[e.group] += from_pool;
+            e.busy_time += dt;
+
+            // Counters charge each completed work unit its *average*
+            // demand: bursts redistribute traffic in time, but the bytes a
+            // unit of work needs are fixed, which is what a hardware
+            // counter integrates.
+            let moved = from_private + from_pool;
+            e.work_done += moved;
+            let d = e.behavior.demand;
+            let counters = &mut groups[e.group].counters;
+            counters.instructions += d.instr * moved;
+            counters.l1_bytes += d.l1 * moved;
+            counters.l2_bytes += d.l2 * moved;
+            counters.l3_bytes += d.l3 * moved;
+            let spill_frac = seg.spill_frac_socket[e.socket.0];
+            let dram_total = (d.dram + d.l3 * spill_frac) * moved;
+            for (node, &frac) in e.dram_split.iter().enumerate() {
+                counters.dram_bytes[node] += dram_total * frac;
+                if node != e.socket.0 {
+                    counters.interconnect_bytes += dram_total * frac;
+                }
+            }
+        }
+        // Reconcile the shared pools: over-draw in the fluid model simply
+        // means a pool drained partway through the segment.
+        for (g, gs) in groups.iter_mut().enumerate() {
+            gs.pool = (gs.pool - pool_draw[g]).max(0.0);
+            if gs.pool <= 1e-12 {
+                gs.pool = 0.0;
+            }
+        }
+        // Mark finished workers and completed groups.
+        for &i in runnable {
+            let e = &mut entities[i];
+            if !e.is_worker() {
+                continue;
+            }
+            let gs = &groups[e.group];
+            if e.private_work <= 1e-12 && (gs.pool <= 1e-12 || !gs.pool_capable) {
+                e.private_work = 0.0;
+                e.finished = true;
+            }
+        }
+        self.elapsed += dt;
+        for (g, gs) in groups.iter_mut().enumerate() {
+            if gs.finish_time.is_none() {
+                let done = gs.workers == 0
+                    || (gs.pool <= 0.0
+                        && entities
+                            .iter()
+                            .filter(|e| e.is_worker() && e.group == g)
+                            .all(|e| e.finished));
+                if done {
+                    gs.finish_time = Some(self.elapsed);
+                }
+            }
+        }
+
+        // Persist rates for the next segment's relaxation bootstrap.
+        for (k, &i) in runnable.iter().enumerate() {
+            prev_rates[i] = seg.rates[k];
+        }
+        self.segment += 1;
+        true
+    }
+
+    /// Assembles per-group results with seeded measurement noise plus any
+    /// injected measurement corruption. With the default (empty) fault
+    /// plan every injected factor is exactly 1.0 and no channel is zeroed,
+    /// so the arithmetic below is bit-identical to the fault-free engine.
+    fn results(&self) -> Vec<RunResult> {
+        let (inputs, config) = (self.inputs, self.config);
+        let faults = &config.faults;
+        let mut faults_injected = 0u64;
+        let results: Vec<RunResult> = inputs
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(g, group)| {
+                let gs = &self.groups[g];
+                let placement_hash = group
+                    .placement
+                    .contexts()
+                    .iter()
+                    .fold(g as u64, |acc, c| rng::splitmix64(acc ^ (c.0 as u64 + 0x51)));
+                let group_hash =
+                    rng::splitmix64(rng::hash_str(&group.behavior.name) ^ placement_hash);
+                let noise_h =
+                    rng::mix(inputs.seed, rng::hash_str(&group.behavior.name), placement_hash, 0xE);
+                let regime = faults.noise_regime_factor(inputs.seed, group_hash);
+                let burst = faults.interference_multiplier(inputs.seed, group_hash);
+                if regime > 1.0 {
+                    faults_injected += 1;
+                }
+                if burst > 1.0 {
+                    faults_injected += 1;
+                }
+                let noise = 1.0 + config.noise_sigma * regime * rng::gaussian_f64(noise_h);
+                let raw = gs.finish_time.unwrap_or(self.elapsed);
+                let group_elapsed = (raw * noise * burst).max(f64::MIN_POSITIVE);
+                let per_thread_busy = self
+                    .entities
+                    .iter()
+                    .filter(|e| e.is_worker() && e.group == g)
+                    .map(|e| {
+                        if group_elapsed > 0.0 {
+                            (e.busy_time / group_elapsed).min(1.0)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                let mut counters = gs.counters.clone();
+                faults_injected +=
+                    apply_counter_dropout(faults, inputs.seed, group_hash, &mut counters);
+                RunResult { elapsed: group_elapsed, counters, per_thread_busy }
+            })
+            .collect();
+        if faults_injected > 0 && pandia_obs::enabled() {
+            pandia_obs::count("sim.faults_injected", faults_injected);
+        }
+        results
+    }
+}
+
 /// Structure-of-arrays image of the per-entity constants the segment
 /// middle reads, plus the resource-id lookups the demand build needs —
 /// all resolved once per run so the per-segment loops touch contiguous
@@ -524,12 +841,24 @@ struct SegScratch {
     dvfs: DvfsState,
 }
 
-/// Sparse-demand push with the same positivity gate as the legacy
-/// closure: zero-demand terms never enter the bundle.
+/// Sparse-demand push: zero-demand terms never enter the bundle.
 fn push_demand(v: &mut Vec<(usize, f64)>, id: usize, amt: f64) {
     if amt > 0.0 {
         v.push((id, amt));
     }
+}
+
+/// The most utilized *hardware* resource of a solve (locks excluded), as
+/// the trace reports it.
+fn hottest(table: &ResourceTable, loads: &[f64], caps: &[f64]) -> Option<(ResourceKind, f64)> {
+    loads
+        .iter()
+        .take(table.len())
+        .enumerate()
+        .map(|(r, &load)| (r, load / caps[r].max(1e-12)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .filter(|&(_, util)| util > 0.0)
+        .map(|(r, util)| (table.get(ResourceId(r)).kind, util.min(1.0)))
 }
 
 fn run_multi_impl(
@@ -537,94 +866,21 @@ fn run_multi_impl(
     config: &EngineConfig,
     mut trace: Option<&mut RunTrace>,
 ) -> Result<(Vec<RunResult>, SimStats), SimError> {
-    // Transient faults kill the whole measurement window before any
-    // result is produced; a retry with a fresh seed re-draws the schedule.
-    if config.faults.transient_faults(inputs.seed) {
-        if pandia_obs::enabled() {
-            pandia_obs::count("sim.faults_injected", 1);
-        }
-        return Err(SimError::TransientFault { seed: inputs.seed });
-    }
+    let mut run = RunState::new(inputs, config)?;
     let spec = inputs.spec;
     let n_groups = inputs.groups.len();
-    let mut entities: Vec<Entity> = Vec::new();
-    let mut groups: Vec<GroupState> = Vec::with_capacity(n_groups);
-
-    for (g, group) in inputs.groups.iter().enumerate() {
-        let behavior = group.behavior;
-        let n_threads = group.placement.n_threads();
-        let workers = behavior.workers_of(n_threads);
-        let total_work = behavior.work_for_threads(workers);
-        let policy = group.data_placement.unwrap_or(behavior.data_placement);
-        let threads_per_socket = group.placement.threads_per_socket(spec);
-        let dyn_frac = behavior.scheduling.dynamic_fraction();
-        let static_share =
-            if workers > 0 { total_work * (1.0 - dyn_frac) / workers as f64 } else { 0.0 };
-        for (t, &ctx) in group.placement.contexts().iter().enumerate() {
-            let socket = spec.socket_of_ctx(ctx);
-            let is_active = t < workers;
-            entities.push(Entity {
-                class: EntityClass::Worker(t),
-                group: g,
-                core: spec.core_of_ctx(ctx),
-                socket,
-                // lint: allow(H2): one-time entity construction per run, not per step
-                behavior: behavior.clone(),
-                dram_split: dram_split(policy, spec, socket, &threads_per_socket, n_threads),
-                private_work: if is_active { static_share } else { 0.0 },
-                work_done: 0.0,
-                busy_time: 0.0,
-                finished: !is_active,
-            });
-        }
-        groups.push(GroupState {
-            total_work,
-            pool: total_work * dyn_frac,
-            pool_capable: dyn_frac > 0.0,
-            workers,
-            counters: Counters { dram_bytes: vec![0.0; spec.sockets], ..Counters::default() },
-            finish_time: None,
-        });
-    }
-    for pin in inputs.stressors {
-        let ctx = pin.ctx;
-        let socket = spec.socket_of_ctx(ctx);
-        let sb = stress::behavior(spec, pin.kind);
-        let split = dram_split(sb.data_placement, spec, socket, &[], 0);
-        entities.push(Entity {
-            class: EntityClass::Stressor,
-            group: usize::MAX,
-            core: spec.core_of_ctx(ctx),
-            socket,
-            behavior: sb,
-            dram_split: split,
-            private_work: 0.0,
-            work_done: 0.0,
-            busy_time: 0.0,
-            finished: false,
-        });
-    }
-
     let table = ResourceTable::from_spec(spec);
     // One critical-section lock per group, appended after the hardware
     // resources.
     let lock_base = table.len();
-    let n_resources = table.len() + n_groups;
-
-    let mut elapsed = 0.0_f64;
-    let mut prev_rates: Vec<f64> = vec![1.0; entities.len()];
-    let mut segment: usize = 0;
-    let mut quantum = f64::INFINITY;
-    let mut capacities = vec![0.0_f64; n_resources];
+    let traced = trace.is_some();
+    let mut capacities = vec![0.0_f64; lock_base + n_groups];
     let mut demands: Vec<EntityDemand> = Vec::new();
-    let mut runnable: Vec<usize> = Vec::new();
-    let mut group_remaining = vec![0.0_f64; n_groups];
-    let mut pool_draw = vec![0.0_f64; n_groups];
     let mut solver = equilibrium::IncrementalSolver::new();
-    let mut stats = SimStats::default();
+    let mut segments_coalesced = 0u64;
     // SoA image of the entity constants plus reusable per-segment
-    // buffers. Built once per run; the legacy path carries neither.
-    let soa = if config.soa { Some(SoaEntities::build(&entities, spec, &table)) } else { None };
+    // buffers, built once per run.
+    let soa = SoaEntities::build(&run.entities, spec, &table);
     let mut seg_scratch = SegScratch::default();
 
     // Segment coalescer. The expensive middle of a segment (DVFS, spill,
@@ -649,7 +905,7 @@ fn run_multi_impl(
     // comparing it at every probe step would cost more than some
     // middles); the exact key lives in the entry and is verified on
     // every hit.
-    let coalescing_allowed = config.incremental && config.faults.is_none();
+    let coalescing_allowed = config.faults.is_none();
     let mut seg_cache: HashMap<(u64, u64), CachedSegment, BuildHasherDefault<FpHasher>> =
         HashMap::default();
     let mut seg_key: Vec<u64> = Vec::new();
@@ -659,10 +915,8 @@ fn run_multi_impl(
     // the low value outside; smooth profiles collapse both to one), so a
     // segment's multiplier vector compresses to one bit per runnable
     // entity in the memo key — set ⇔ bitwise equal to the high value.
-    let burst_hi: Vec<u64> = entities
-        .iter()
-        .map(|e| e.behavior.burst.multiplier(0.0).to_bits())
-        .collect();
+    let burst_hi: Vec<u64> =
+        run.entities.iter().map(|e| e.behavior.burst.multiplier(0.0).to_bits()).collect();
     // Burst-profile constants, hoisted out of the segment loop: the draw
     // offset depends only on (seed, entity), and a profile's duty plus
     // high/low multipliers are fixed for the run — `low_multiplier`
@@ -670,48 +924,18 @@ fn run_multi_impl(
     // most repeated piece of arithmetic in the engine. The per-segment
     // draw collapses to one multiply-add, a `fract`, and a compare.
     let burst_off: Vec<f64> =
-        (0..entities.len()).map(|i| burst_offset(inputs.seed, i)).collect();
-    let burst_duty: Vec<f64> = entities.iter().map(|e| e.behavior.burst.duty).collect();
+        (0..run.entities.len()).map(|i| burst_offset(inputs.seed, i)).collect();
+    let burst_duty: Vec<f64> = run.entities.iter().map(|e| e.behavior.burst.duty).collect();
     let burst_amp: Vec<f64> =
-        entities.iter().map(|e| e.behavior.burst.effective_amplitude()).collect();
-    let burst_lo: Vec<f64> = entities.iter().map(|e| e.behavior.burst.low_multiplier()).collect();
+        run.entities.iter().map(|e| e.behavior.burst.effective_amplitude()).collect();
+    let burst_lo: Vec<f64> =
+        run.entities.iter().map(|e| e.behavior.burst.low_multiplier()).collect();
     // Backstop for degenerate runs whose key never recurs: stop inserting
     // (but keep probing) once the memo is clearly not paying for itself.
     const SEG_CACHE_CAP: usize = 4096;
 
-    loop {
-        // Remaining work per group (private shares plus pool).
-        for (g, gs) in groups.iter().enumerate() {
-            group_remaining[g] = gs.pool;
-        }
-        for e in &entities {
-            if e.is_worker() {
-                group_remaining[e.group] += e.private_work;
-            }
-        }
-        // Which entities run this segment?
-        runnable.clear();
-        for (i, e) in entities.iter().enumerate() {
-            let has_work = match e.class {
-                EntityClass::Worker(_) => {
-                    !e.finished
-                        && (e.private_work > 0.0
-                            || (groups[e.group].pool_capable && groups[e.group].pool > 0.0))
-                }
-                EntityClass::Stressor => true,
-            };
-            if has_work {
-                runnable.push(i);
-            }
-        }
-        let remaining: f64 = group_remaining.iter().sum();
-        if remaining <= 0.0 || runnable.iter().all(|&i| !entities[i].is_worker()) {
-            break;
-        }
-        if segment >= config.max_segments {
-            break;
-        }
-
+    while run.next_segment() {
+        let (runnable, prev_rates) = (&run.runnable, &run.prev_rates);
         // Burst phase multipliers for this segment: a stateless O(n) draw,
         // shared by the memo key and the full computation. (The latency
         // interference from co-resident bursting peers is derived from
@@ -719,7 +943,7 @@ fn run_multi_impl(
         // work unit for every SMT sibling j currently in its high-demand
         // phase — the ground truth behind the paper's b, §2.3.)
         multipliers.clear();
-        let seg_phase = segment as f64 * PHI_CONJUGATE;
+        let seg_phase = run.segment as f64 * PHI_CONJUGATE;
         multipliers.extend(runnable.iter().map(|&i| {
             // Inlined `burst.multiplier(burst_draw(seed, i, segment))`
             // over the hoisted constants: identical arithmetic, with the
@@ -745,7 +969,7 @@ fn run_multi_impl(
         let fp = if coalescing_allowed {
             seg_key.clear();
             seg_key.push(runnable.len() as u64);
-            if runnable.len() < entities.len() {
+            if runnable.len() < run.entities.len() {
                 seg_key.extend(runnable.iter().map(|&i| i as u64));
             }
             let mut word = 0u64;
@@ -769,614 +993,357 @@ fn run_multi_impl(
         };
 
         let mut full_middle = || -> CachedSegment {
-            if let Some(soa) = soa.as_ref() {
-                let scratch = &mut seg_scratch;
+            let scratch = &mut seg_scratch;
 
-                // Everything between here and the relaxation rounds is a
-                // pure function of (runnable set, multipliers): DVFS,
-                // spill, interference, capacities, and the demand bundles
-                // never read the relaxation warm start. When both match
-                // the previous *fully computed* middle bit for bit, those
-                // buffers still hold exactly the values a recompute would
-                // produce (memo replays touch none of them), so the whole
-                // prologue is skipped and only the rounds — whose warm
-                // start did change — run. This is the common shape of a
-                // memo miss: a steady structure whose rates are still
-                // converging.
-                let runnable_same = scratch.structure_valid && scratch.prev_runnable == runnable;
-                let structure_same = runnable_same
-                    && scratch
-                        .prev_multipliers
-                        .iter()
-                        .zip(&multipliers)
-                        .all(|(&p, m)| p == m.to_bits());
-                let nk = runnable.len();
-                // With the runnable set unchanged, the solver's longest
-                // compatible prefix is known without walking the demand
-                // bundles: a bundle moves exactly when its entity's
-                // multiplier bits moved AND the bundle carries
-                // multiplier-scaled entries (the lock term is unscaled,
-                // and the spill inputs are fixed by the runnable set).
-                // The old bundles still sit in `demands`; a positive old
-                // multiplier shows the scaled sparsity directly, while an
-                // exactly-0.0 low phase hides it — then the build's own
-                // positivity gates answer from the per-entity constants.
-                // Captured before the snapshot below overwrites the
-                // previous middle's bits.
-                let prefix_hint = if runnable_same && !structure_same {
-                    Some(
-                        (0..nk)
-                            .find(|&k| {
-                                if scratch.prev_multipliers[k] == multipliers[k].to_bits() {
-                                    return false;
-                                }
-                                let i = runnable[k];
-                                let lock = soa.is_worker[i] && soa.seq_fraction[i] > 0.0;
-                                if f64::from_bits(scratch.prev_multipliers[k]) > 0.0 {
-                                    demands[k].demands.len() > lock as usize
-                                } else {
-                                    soa.d_instr[i] > 0.0
-                                        || soa.d_l1[i] > 0.0
-                                        || soa.d_l2[i] > 0.0
-                                        || soa.d_l3[i] > 0.0
-                                        || (soa.d_dram[i] > 0.0
-                                            && (0..spec.sockets).any(|node| {
-                                                soa.dram_split[i * spec.sockets + node] > 0.0
-                                            }))
-                                }
-                            })
-                            .unwrap_or(nk),
-                    )
-                } else {
-                    None
-                };
-                if !structure_same {
-                    // DVFS point from the cores that are actually busy.
-                    scratch.core_occupancy.clear();
-                    scratch.core_occupancy.resize(spec.total_cores(), 0);
-                    for &i in &runnable {
-                        scratch.core_occupancy[soa.core[i]] += 1;
-                    }
-                    scratch.active_cores.clear();
-                    scratch.active_cores.resize(spec.sockets, 0);
-                    for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                        if occ > 0 {
-                            scratch.active_cores[soa.core_home[c]] += 1;
-                        }
-                    }
-                    scratch.dvfs.compute_into(
-                        spec,
-                        &scratch.active_cores,
-                        inputs.turbo,
-                        inputs.fill_background,
-                    );
-
-                    // Cache spill per socket from resident working sets, with
-                    // the non-adaptive thrash amplification folded in. Same
-                    // two-factor product per socket as the legacy path.
-                    scratch.socket_ws.clear();
-                    scratch.socket_ws.resize(spec.sockets, 0.0);
-                    scratch.socket_residents.clear();
-                    scratch.socket_residents.resize(spec.sockets, 0);
-                    for &i in &runnable {
-                        scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
-                        scratch.socket_residents[soa.socket[i]] += 1;
-                    }
-                    scratch.spill_frac_socket.clear();
-                    for s in 0..spec.sockets {
-                        let spill =
-                            spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
-                        let thrash = if spec.adaptive_llc {
-                            1.0
-                        } else {
-                            1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
-                                / spec.cores_per_socket as f64
-                        };
-                        scratch.spill_frac_socket.push(spill * thrash);
-                    }
-
-                    // Latency interference from co-resident bursting peers.
-                    // Grouping the runnable set by core turns the all-pairs
-                    // scan into per-core pair walks — only SMT-shared cores
-                    // produce interference, and within a core the member
-                    // list preserves ascending runnable order, so each
-                    // thread accumulates the same additions in the same
-                    // sequence as the legacy all-pairs loop.
-                    scratch.interference.clear();
-                    scratch.interference.resize(runnable.len(), 0.0);
-                    if spec.smt_burst_collision > 0.0 {
-                        scratch.core_members.resize_with(spec.total_cores(), Vec::new);
-                        for list in &mut scratch.core_members {
-                            list.clear();
-                        }
-                        for (k, &i) in runnable.iter().enumerate() {
-                            scratch.core_members[soa.core[i]].push(k);
-                        }
-                        for members in &scratch.core_members {
-                            if members.len() < 2 {
-                                continue;
+            // Everything between here and the relaxation rounds is a
+            // pure function of (runnable set, multipliers): DVFS,
+            // spill, interference, capacities, and the demand bundles
+            // never read the relaxation warm start. When both match
+            // the previous *fully computed* middle bit for bit, those
+            // buffers still hold exactly the values a recompute would
+            // produce (memo replays touch none of them), so the whole
+            // prologue is skipped and only the rounds — whose warm
+            // start did change — run. This is the common shape of a
+            // memo miss: a steady structure whose rates are still
+            // converging.
+            let runnable_same = scratch.structure_valid && scratch.prev_runnable == *runnable;
+            let structure_same = runnable_same
+                && scratch
+                    .prev_multipliers
+                    .iter()
+                    .zip(&multipliers)
+                    .all(|(&p, m)| p == m.to_bits());
+            let nk = runnable.len();
+            // With the runnable set unchanged, the solver's longest
+            // compatible prefix is known without walking the demand
+            // bundles: a bundle moves exactly when its entity's
+            // multiplier bits moved AND the bundle carries
+            // multiplier-scaled entries (the lock term is unscaled,
+            // and the spill inputs are fixed by the runnable set).
+            // The old bundles still sit in `demands`; a positive old
+            // multiplier shows the scaled sparsity directly, while an
+            // exactly-0.0 low phase hides it — then the build's own
+            // positivity gates answer from the per-entity constants.
+            // Captured before the snapshot below overwrites the
+            // previous middle's bits.
+            let prefix_hint = if runnable_same && !structure_same {
+                Some(
+                    (0..nk)
+                        .find(|&k| {
+                            if scratch.prev_multipliers[k] == multipliers[k].to_bits() {
+                                return false;
                             }
-                            for &k in members {
-                                for &k2 in members {
-                                    if k2 != k {
-                                        scratch.interference[k] += (multipliers[k2] - 1.0).max(0.0)
-                                            * spec.smt_burst_collision;
-                                    }
-                                }
+                            let i = runnable[k];
+                            let lock = soa.is_worker[i] && soa.seq_fraction[i] > 0.0;
+                            if f64::from_bits(scratch.prev_multipliers[k]) > 0.0 {
+                                demands[k].demands.len() > lock as usize
+                            } else {
+                                soa.d_instr[i] > 0.0
+                                    || soa.d_l1[i] > 0.0
+                                    || soa.d_l2[i] > 0.0
+                                    || soa.d_l3[i] > 0.0
+                                    || (soa.d_dram[i] > 0.0
+                                        && (0..spec.sockets).any(|node| {
+                                            soa.dram_split[i * spec.sockets + node] > 0.0
+                                        }))
                             }
-                        }
+                        })
+                        .unwrap_or(nk),
+                )
+            } else {
+                None
+            };
+            if !structure_same {
+                // DVFS point from the cores that are actually busy.
+                scratch.core_occupancy.clear();
+                scratch.core_occupancy.resize(spec.total_cores(), 0);
+                for &i in runnable {
+                    scratch.core_occupancy[soa.core[i]] += 1;
+                }
+                scratch.active_cores.clear();
+                scratch.active_cores.resize(spec.sockets, 0);
+                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                    if occ > 0 {
+                        scratch.active_cores[soa.core_home[c]] += 1;
                     }
+                }
+                scratch.dvfs.compute_into(
+                    spec,
+                    &scratch.active_cores,
+                    inputs.turbo,
+                    inputs.fill_background,
+                );
 
-                    // Capacities for this segment: one memcpy of the nominal
-                    // table, then DVFS/SMT scaling of occupied cores only. An
-                    // idle core's pools carry no demand this segment, so
-                    // leaving them nominal cannot move the solve.
-                    capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
-                    for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                        if occ == 0 {
-                            continue;
-                        }
-                        let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
-                        let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
-                        let issue = table.core_issue(CoreId(c));
-                        capacities[issue.0] = table.get(issue).capacity * scale * smt;
-                        let l1 = table.l1(CoreId(c));
-                        capacities[l1.0] = table.get(l1).capacity * scale;
-                        let l2 = table.l2(CoreId(c));
-                        capacities[l2.0] = table.get(l2).capacity * scale;
-                    }
-                    for g in 0..n_groups {
-                        capacities[lock_base + g] = 1.0;
-                    }
+                // Cache spill per socket from resident working sets, with
+                // the non-adaptive thrash amplification folded in.
+                scratch.socket_ws.clear();
+                scratch.socket_ws.resize(spec.sockets, 0.0);
+                scratch.socket_residents.clear();
+                scratch.socket_residents.resize(spec.sockets, 0);
+                for &i in runnable {
+                    scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
+                    scratch.socket_residents[soa.socket[i]] += 1;
+                }
+                scratch.spill_frac_socket.clear();
+                for s in 0..spec.sockets {
+                    let spill =
+                        spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
+                    let thrash = if spec.adaptive_llc {
+                        1.0
+                    } else {
+                        1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
+                            / spec.cores_per_socket as f64
+                    };
+                    scratch.spill_frac_socket.push(spill * thrash);
+                }
 
-                    // Build demand bundles (burst- and spill-adjusted) into
-                    // reused slots: the sparse buffers from previous segments
-                    // are cleared and refilled, never reallocated.
-                    demands.truncate(runnable.len());
-                    scratch.instr_demands.clear();
-                    for (k, &i) in runnable.iter().enumerate() {
-                        let m = multipliers[k];
-                        let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
-                        let extra_dram = soa.d_l3[i] * spill_frac;
-                        if k == demands.len() {
-                            // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
-                            demands.push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
-                        }
-                        let slot = &mut demands[k];
-                        slot.max_rate = 1.0;
-                        let sparse = &mut slot.demands;
-                        sparse.clear();
-                        push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
-                        push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
-                        push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
-                        if soa.d_l3[i] > 0.0 {
-                            push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
-                            push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
-                        }
-                        let dram_total = (soa.d_dram[i] + extra_dram) * m;
-                        if dram_total > 0.0 {
-                            for node in 0..spec.sockets {
-                                let frac = soa.dram_split[i * spec.sockets + node];
-                                if frac <= 0.0 {
-                                    continue;
-                                }
-                                push_demand(sparse, soa.res_dram[node], dram_total * frac);
-                                if node != soa.socket[i] {
-                                    if let Some(link) = soa.res_link[soa.socket[i] * spec.sockets + node]
-                                    {
-                                        push_demand(sparse, link, dram_total * frac);
-                                    }
-                                }
-                            }
-                        }
-                        if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
-                            sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
-                        }
-                        scratch.instr_demands.push(soa.d_instr[i] * m);
-                    }
-
-                    // Communication constants per runnable thread, hoisted out
-                    // of the relaxation rounds: the `comm_factor · latency`
-                    // products are fixed for the segment (two per thread, for
-                    // same- and cross-socket peers — the same two multiplies
-                    // the per-pair form performs, in the same order), and the
-                    // same-group worker lists bound each thread's peer scan to
-                    // its actual peers in ascending runnable order.
-                    scratch.cf_lat_intra.clear();
-                    scratch.cf_lat_cross.clear();
-                    for &i in &runnable {
-                        let cf = soa.comm_factor[i];
-                        scratch
-                            .cf_lat_intra
-                            .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
-                        scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
-                    }
-                    scratch.group_members.resize_with(n_groups, Vec::new);
-                    for list in &mut scratch.group_members {
+                // Latency interference from co-resident bursting peers.
+                // Grouping the runnable set by core turns the all-pairs
+                // scan into per-core pair walks — only SMT-shared cores
+                // produce interference, and within a core the member
+                // list preserves ascending runnable order, so each
+                // thread accumulates the same additions in the same
+                // sequence as the spec's all-pairs loop.
+                scratch.interference.clear();
+                scratch.interference.resize(runnable.len(), 0.0);
+                if spec.smt_burst_collision > 0.0 {
+                    scratch.core_members.resize_with(spec.total_cores(), Vec::new);
+                    for list in &mut scratch.core_members {
                         list.clear();
                     }
                     for (k, &i) in runnable.iter().enumerate() {
-                        if soa.is_worker[i] {
-                            scratch.group_members[soa.group[i]].push(k);
-                        }
+                        scratch.core_members[soa.core[i]].push(k);
                     }
-
-                    // Snapshot the structural inputs so the next full middle
-                    // can recognise an unchanged prologue.
-                    scratch.prev_runnable.clear();
-                    scratch.prev_runnable.extend_from_slice(&runnable);
-                    scratch.prev_multipliers.clear();
-                    scratch.prev_multipliers.extend(multipliers.iter().map(|m| m.to_bits()));
-                    scratch.structure_valid = true;
-                }
-
-                // Relaxation rounds: lock queueing + communication latency
-                // feed back into intrinsic rates. The round buffers live
-                // in the scratch; the solver's result is copied out, so a
-                // steady segment stream performs no per-round allocation.
-                scratch.round_rates.clear();
-                scratch.round_rates.extend(runnable.iter().map(|&i| prev_rates[i]));
-                scratch.last_loads.clear();
-                for round in 0..config.relaxation_rounds {
-                    scratch.rho.clear();
-                    scratch.rho.resize(n_groups, 0.0);
-                    for (k, &i) in runnable.iter().enumerate() {
-                        if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
-                            scratch.rho[soa.group[i]] +=
-                                scratch.round_rates[k] * soa.seq_fraction[i];
-                        }
-                    }
-                    scratch.queue_delay.clear();
-                    scratch.queue_delay.extend(scratch.rho.iter().map(|&r| {
-                        let r = r.min(config.max_lock_rho);
-                        r / (1.0 - r)
-                    }));
-
-                    // Peer weights cached per (socket, peer): the weight
-                    // divides the peer's round rate by the *observer's*
-                    // socket scale, of which there are only `sockets`
-                    // distinct values — so the divisions drop from one
-                    // per pair to one per (socket, peer). Same
-                    // expression, same bits.
-                    scratch.peer_weight.clear();
-                    scratch.peer_weight.resize(spec.sockets * nk, 0.0);
-                    for s in 0..spec.sockets {
-                        let scale = scratch.dvfs.socket_scale[s];
-                        let row = &mut scratch.peer_weight[s * nk..(s + 1) * nk];
-                        for (k2, slot) in row.iter_mut().enumerate() {
-                            *slot = (scratch.round_rates[k2] / scale.max(1e-9)).min(1.0);
-                        }
-                    }
-
-                    for (k, &i) in runnable.iter().enumerate() {
-                        let scale = scratch.dvfs.socket_scale[soa.dvfs_socket[i]];
-                        let max_rate = if soa.is_worker[i] {
-                            let mut comm = 0.0;
-                            if soa.comm_factor[i] > 0.0 {
-                                let base = soa.dvfs_socket[i] * nk;
-                                for &k2 in &scratch.group_members[soa.group[i]] {
-                                    if k2 == k {
-                                        continue;
-                                    }
-                                    let j = runnable[k2];
-                                    let cf_lat = if soa.socket[j] == soa.socket[i] {
-                                        scratch.cf_lat_intra[k]
-                                    } else {
-                                        scratch.cf_lat_cross[k]
-                                    };
-                                    comm += cf_lat * scratch.peer_weight[base + k2];
-                                }
-                            }
-                            let queue = soa.seq_fraction[i] * scratch.queue_delay[soa.group[i]];
-                            scale / (1.0 + queue + comm + scratch.interference[k])
-                        } else {
-                            scale / (1.0 + scratch.interference[k])
-                        };
-                        let max_rate = if scratch.instr_demands[k] > 0.0 {
-                            let ilp_cap = spec.single_thread_ilp * spec.core_ipc_rate * scale
-                                / scratch.instr_demands[k];
-                            max_rate.min(ilp_cap)
-                        } else {
-                            max_rate
-                        };
-                        demands[k].max_rate = max_rate;
-                    }
-                    if config.incremental {
-                        // Round 0 re-primes the solver on this segment's
-                        // demand bundles; later rounds rewrite only the
-                        // rate caps, so the prefix walk's outcome is
-                        // known and skipped. An unchanged structure
-                        // extends that to round 0 too: the solver's last
-                        // call already holds these exact bundles.
-                        let alloc = if round == 0 && !structure_same {
-                            match prefix_hint {
-                                Some(lcp) => {
-                                    solver.solve_with_prefix_hint(&demands, &capacities, lcp)
-                                }
-                                None => solver.solve(&demands, &capacities),
-                            }
-                        } else {
-                            solver.solve_same_demands(&demands, &capacities)
-                        };
-                        scratch.round_rates.clear();
-                        scratch.round_rates.extend_from_slice(&alloc.rates);
-                        scratch.last_loads.clear();
-                        scratch.last_loads.extend_from_slice(&alloc.loads);
-                    } else {
-                        stats.solves += 1;
-                        let alloc = equilibrium::solve(&demands, &capacities);
-                        scratch.round_rates.clear();
-                        scratch.round_rates.extend_from_slice(&alloc.rates);
-                        scratch.last_loads.clear();
-                        scratch.last_loads.extend_from_slice(&alloc.loads);
-                    }
-                }
-
-                let mut group_rate = vec![0.0_f64; n_groups];
-                for (k, &i) in runnable.iter().enumerate() {
-                    if soa.is_worker[i] {
-                        group_rate[soa.group[i]] += scratch.round_rates[k];
-                    }
-                }
-
-                let hottest = if trace.is_some() {
-                    // Hottest *hardware* resource this segment (locks excluded).
-                    scratch
-                        .last_loads
-                        .iter()
-                        .take(table.len())
-                        .enumerate()
-                        .map(|(r, &load)| (r, load / capacities[r].max(1e-12)))
-                        .max_by(|a, b| a.1.total_cmp(&b.1))
-                        .filter(|&(_, util)| util > 0.0)
-                        .map(|(r, util)| {
-                            (table.get(pandia_topology::ResourceId(r)).kind, util.min(1.0))
-                        })
-                } else {
-                    None
-                };
-
-                return CachedSegment {
-                    // lint: allow(H2): the cache entry must own its key
-                    key: seg_key.clone(),
-                    // lint: allow(H2): the cache entry owns its rates; the scratch buffer is reused next segment
-                    rates: scratch.round_rates.clone(),
-                    group_rate,
-                    hottest,
-                    // lint: allow(H2): the cache entry owns its outputs; the scratch buffer is reused next segment
-                    spill_frac_socket: scratch.spill_frac_socket.clone(),
-                };
-            }
-
-            // Legacy per-entity-struct walk: the reference path of the
-            // differential oracle suite (`SimConfig::with_soa(false)`),
-            // kept verbatim so equivalence failures bisect cleanly.
-            // DVFS point from the cores that are actually busy.
-            let mut active_cores = vec![0usize; spec.sockets];
-            let mut core_occupancy = vec![0u32; spec.total_cores()];
-            for &i in &runnable {
-                core_occupancy[entities[i].core.0] += 1;
-            }
-            for (c, &occ) in core_occupancy.iter().enumerate() {
-                if occ > 0 {
-                    active_cores[spec.socket_of_core(CoreId(c)).0] += 1;
-                }
-            }
-            let dvfs =
-                DvfsState::compute(spec, &active_cores, inputs.turbo, inputs.fill_background);
-
-            // Cache spill per socket from resident working sets.
-            let mut socket_ws = vec![0.0_f64; spec.sockets];
-            let mut socket_residents = vec![0usize; spec.sockets];
-            for &i in &runnable {
-                socket_ws[entities[i].socket.0] += entities[i].behavior.working_set_mib;
-                socket_residents[entities[i].socket.0] += 1;
-            }
-            let spill = SocketSpill::compute(&socket_ws, spec.l3_mib, spec.adaptive_llc);
-            // Non-adaptive caches additionally thrash under many concurrent
-            // streams: spilled traffic is amplified with socket occupancy
-            // (conflict misses and dead-block re-fetches). Adaptive insertion
-            // policies suppress this — the paper's §2.2/§6.2 contrast.
-            let thrash: Vec<f64> = socket_residents
-                .iter()
-                .map(|&r| {
-                    if spec.adaptive_llc {
-                        1.0
-                    } else {
-                        1.0 + 0.35 * r.saturating_sub(1) as f64 / spec.cores_per_socket as f64
-                    }
-                })
-                .collect();
-            let spill_frac_socket: Vec<f64> = spill
-                .per_socket
-                .iter()
-                .zip(&thrash)
-                .map(|(&s, &t)| s * t)
-                .collect();
-
-            // Latency interference from co-resident bursting peers.
-            let mut interference = vec![0.0_f64; runnable.len()];
-            if spec.smt_burst_collision > 0.0 {
-                for (k, &i) in runnable.iter().enumerate() {
-                    for (k2, &j) in runnable.iter().enumerate() {
-                        if k2 != k && entities[j].core == entities[i].core {
-                            interference[k] +=
-                                (multipliers[k2] - 1.0).max(0.0) * spec.smt_burst_collision;
-                        }
-                    }
-                }
-            }
-
-            // Capacities for this segment: frequency-scaled core-side entries,
-            // SMT front-end factor on shared cores, plus the per-group locks.
-            for (slot, res) in capacities.iter_mut().zip(table.resources()) {
-                *slot = res.capacity;
-            }
-            for (c, &occ) in core_occupancy.iter().enumerate() {
-                let scale = dvfs.scale_for_core(spec, CoreId(c));
-                let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
-                let issue = table.core_issue(CoreId(c));
-                capacities[issue.0] = table.get(issue).capacity * scale * smt;
-                let l1 = table.l1(CoreId(c));
-                capacities[l1.0] = table.get(l1).capacity * scale;
-                let l2 = table.l2(CoreId(c));
-                capacities[l2.0] = table.get(l2).capacity * scale;
-            }
-            for g in 0..n_groups {
-                capacities[lock_base + g] = 1.0;
-            }
-
-            // Build demand bundles (burst- and spill-adjusted).
-            demands.clear();
-            let mut instr_demands: Vec<f64> = Vec::with_capacity(runnable.len());
-            for (k, &i) in runnable.iter().enumerate() {
-                let e = &entities[i];
-                let m = multipliers[k];
-                let d = e.behavior.demand;
-                let spill_frac = spill_frac_socket[e.socket.0];
-                let extra_dram = d.l3 * spill_frac;
-                let mut sparse: Vec<(usize, f64)> = Vec::with_capacity(10);
-                let push =
-                    |v: &mut Vec<(usize, f64)>, id: pandia_topology::ResourceId, amt: f64| {
-                        if amt > 0.0 {
-                            v.push((id.0, amt));
-                        }
-                    };
-                push(&mut sparse, table.core_issue(e.core), d.instr * m);
-                push(&mut sparse, table.l1(e.core), d.l1 * m);
-                push(&mut sparse, table.l2(e.core), d.l2 * m);
-                if d.l3 > 0.0 {
-                    push(&mut sparse, table.l3_link(e.core), d.l3 * m);
-                    push(&mut sparse, table.l3_aggregate(e.socket), d.l3 * m);
-                }
-                let dram_total = (d.dram + extra_dram) * m;
-                if dram_total > 0.0 {
-                    for (node, &frac) in e.dram_split.iter().enumerate() {
-                        if frac <= 0.0 {
+                    for members in &scratch.core_members {
+                        if members.len() < 2 {
                             continue;
                         }
-                        let node_id = SocketId(node);
-                        push(&mut sparse, table.dram(node_id), dram_total * frac);
-                        if node_id != e.socket {
-                            if let Some(link) = table.interconnect(e.socket, node_id) {
-                                push(&mut sparse, link, dram_total * frac);
+                        for &k in members {
+                            for &k2 in members {
+                                if k2 != k {
+                                    scratch.interference[k] +=
+                                        (multipliers[k2] - 1.0).max(0.0) * spec.smt_burst_collision;
+                                }
                             }
                         }
                     }
                 }
-                if e.is_worker() && e.behavior.seq_fraction > 0.0 {
-                    sparse.push((lock_base + e.group, e.behavior.seq_fraction));
+
+                // Capacities for this segment: one memcpy of the nominal
+                // table, then DVFS/SMT scaling of occupied cores only. An
+                // idle core's pools carry no demand this segment, so
+                // leaving them nominal cannot move the solve.
+                capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
+                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                    if occ == 0 {
+                        continue;
+                    }
+                    let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
+                    let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
+                    let issue = table.core_issue(CoreId(c));
+                    capacities[issue.0] = table.get(issue).capacity * scale * smt;
+                    let l1 = table.l1(CoreId(c));
+                    capacities[l1.0] = table.get(l1).capacity * scale;
+                    let l2 = table.l2(CoreId(c));
+                    capacities[l2.0] = table.get(l2).capacity * scale;
                 }
-                instr_demands.push(d.instr * m);
-                demands.push(EntityDemand { demands: sparse, max_rate: 1.0 });
+                for g in 0..n_groups {
+                    capacities[lock_base + g] = 1.0;
+                }
+
+                // Build demand bundles (burst- and spill-adjusted) into
+                // reused slots: the sparse buffers from previous segments
+                // are cleared and refilled, never reallocated.
+                demands.truncate(runnable.len());
+                scratch.instr_demands.clear();
+                for (k, &i) in runnable.iter().enumerate() {
+                    let m = multipliers[k];
+                    let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
+                    let extra_dram = soa.d_l3[i] * spill_frac;
+                    if k == demands.len() {
+                        // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
+                        demands
+                            .push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
+                    }
+                    let slot = &mut demands[k];
+                    slot.max_rate = 1.0;
+                    let sparse = &mut slot.demands;
+                    sparse.clear();
+                    push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
+                    push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
+                    push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
+                    if soa.d_l3[i] > 0.0 {
+                        push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
+                        push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
+                    }
+                    let dram_total = (soa.d_dram[i] + extra_dram) * m;
+                    if dram_total > 0.0 {
+                        for node in 0..spec.sockets {
+                            let frac = soa.dram_split[i * spec.sockets + node];
+                            if frac <= 0.0 {
+                                continue;
+                            }
+                            push_demand(sparse, soa.res_dram[node], dram_total * frac);
+                            if node != soa.socket[i] {
+                                let link = soa.res_link[soa.socket[i] * spec.sockets + node];
+                                if let Some(link) = link {
+                                    push_demand(sparse, link, dram_total * frac);
+                                }
+                            }
+                        }
+                    }
+                    if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
+                        sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
+                    }
+                    scratch.instr_demands.push(soa.d_instr[i] * m);
+                }
+
+                // Communication constants per runnable thread, hoisted out
+                // of the relaxation rounds: the `comm_factor · latency`
+                // products are fixed for the segment (two per thread, for
+                // same- and cross-socket peers — the same two multiplies
+                // the per-pair form performs, in the same order), and the
+                // same-group worker lists bound each thread's peer scan to
+                // its actual peers in ascending runnable order.
+                scratch.cf_lat_intra.clear();
+                scratch.cf_lat_cross.clear();
+                for &i in runnable {
+                    let cf = soa.comm_factor[i];
+                    scratch
+                        .cf_lat_intra
+                        .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
+                    scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
+                }
+                scratch.group_members.resize_with(n_groups, Vec::new);
+                for list in &mut scratch.group_members {
+                    list.clear();
+                }
+                for (k, &i) in runnable.iter().enumerate() {
+                    if soa.is_worker[i] {
+                        scratch.group_members[soa.group[i]].push(k);
+                    }
+                }
+
+                // Snapshot the structural inputs so the next full middle
+                // can recognise an unchanged prologue.
+                scratch.prev_runnable.clear();
+                scratch.prev_runnable.extend_from_slice(runnable);
+                scratch.prev_multipliers.clear();
+                scratch.prev_multipliers.extend(multipliers.iter().map(|m| m.to_bits()));
+                scratch.structure_valid = true;
             }
 
-            // Relaxation rounds: lock queueing + communication latency feed
-            // back into intrinsic rates.
-            let mut round_rates: Vec<f64> = runnable.iter().map(|&i| prev_rates[i]).collect();
-            // lint: allow(H2): Vec::new allocates nothing; the buffer is local to the segment
-            let mut last_loads: Vec<f64> = Vec::new();
-            for _ in 0..config.relaxation_rounds {
-                // Per-group lock utilization from the latest rates.
-                let mut rho = vec![0.0_f64; n_groups];
+            // Relaxation rounds: lock queueing + communication latency
+            // feed back into intrinsic rates. The round buffers live
+            // in the scratch; the solver's result is copied out, so a
+            // steady segment stream performs no per-round allocation.
+            scratch.round_rates.clear();
+            scratch.round_rates.extend(runnable.iter().map(|&i| prev_rates[i]));
+            scratch.last_loads.clear();
+            for round in 0..config.relaxation_rounds {
+                scratch.rho.clear();
+                scratch.rho.resize(n_groups, 0.0);
                 for (k, &i) in runnable.iter().enumerate() {
-                    let e = &entities[i];
-                    if e.is_worker() && e.behavior.seq_fraction > 0.0 {
-                        rho[e.group] += round_rates[k] * e.behavior.seq_fraction;
+                    if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
+                        scratch.rho[soa.group[i]] += scratch.round_rates[k] * soa.seq_fraction[i];
                     }
                 }
-                let queue_delay: Vec<f64> = rho
-                    .iter()
-                    .map(|&r| {
-                        let r = r.min(config.max_lock_rho);
-                        r / (1.0 - r)
-                    })
-                    .collect();
+                scratch.queue_delay.clear();
+                scratch.queue_delay.extend(scratch.rho.iter().map(|&r| {
+                    let r = r.min(config.max_lock_rho);
+                    r / (1.0 - r)
+                }));
+
+                // Peer weights cached per (socket, peer): the weight
+                // divides the peer's round rate by the *observer's*
+                // socket scale, of which there are only `sockets`
+                // distinct values — so the divisions drop from one
+                // per pair to one per (socket, peer). Same
+                // expression, same bits.
+                scratch.peer_weight.clear();
+                scratch.peer_weight.resize(spec.sockets * nk, 0.0);
+                for s in 0..spec.sockets {
+                    let scale = scratch.dvfs.socket_scale[s];
+                    let row = &mut scratch.peer_weight[s * nk..(s + 1) * nk];
+                    for (k2, slot) in row.iter_mut().enumerate() {
+                        *slot = (scratch.round_rates[k2] / scale.max(1e-9)).min(1.0);
+                    }
+                }
 
                 for (k, &i) in runnable.iter().enumerate() {
-                    let e = &entities[i];
-                    let scale = dvfs.scale_for_core(spec, e.core);
-                    let max_rate = if e.is_worker() {
-                        // Communication latency: per unit, pay for each active
-                        // *same-group* peer weighted by its progress.
+                    let scale = scratch.dvfs.socket_scale[soa.dvfs_socket[i]];
+                    let max_rate = if soa.is_worker[i] {
                         let mut comm = 0.0;
-                        if e.behavior.comm_factor > 0.0 {
-                            for (k2, &j) in runnable.iter().enumerate() {
-                                if j == i
-                                    || !entities[j].is_worker()
-                                    || entities[j].group != e.group
-                                {
+                        if soa.comm_factor[i] > 0.0 {
+                            let base = soa.dvfs_socket[i] * nk;
+                            for &k2 in &scratch.group_members[soa.group[i]] {
+                                if k2 == k {
                                     continue;
                                 }
-                                let peer_weight = (round_rates[k2] / scale.max(1e-9)).min(1.0);
-                                let lat = if entities[j].socket == e.socket {
-                                    e.behavior.intra_socket_comm
+                                let j = runnable[k2];
+                                let cf_lat = if soa.socket[j] == soa.socket[i] {
+                                    scratch.cf_lat_intra[k]
                                 } else {
-                                    1.0
-                                } * spec.interconnect_latency;
-                                comm += e.behavior.comm_factor * lat * peer_weight;
+                                    scratch.cf_lat_cross[k]
+                                };
+                                comm += cf_lat * scratch.peer_weight[base + k2];
                             }
                         }
-                        let queue = e.behavior.seq_fraction * queue_delay[e.group];
-                        scale / (1.0 + queue + comm + interference[k])
+                        let queue = soa.seq_fraction[i] * scratch.queue_delay[soa.group[i]];
+                        scale / (1.0 + queue + comm + scratch.interference[k])
                     } else {
-                        scale / (1.0 + interference[k])
+                        scale / (1.0 + scratch.interference[k])
                     };
-                    // A single thread cannot sustain more than the ILP share of
-                    // its core's issue width (SMT pairs jointly can, via the
-                    // shared issue resource).
-                    let max_rate = if instr_demands[k] > 0.0 {
+                    let max_rate = if scratch.instr_demands[k] > 0.0 {
                         let ilp_cap = spec.single_thread_ilp * spec.core_ipc_rate * scale
-                            / instr_demands[k];
+                            / scratch.instr_demands[k];
                         max_rate.min(ilp_cap)
                     } else {
                         max_rate
                     };
                     demands[k].max_rate = max_rate;
                 }
-                let alloc = if config.incremental {
-                    // lint: allow(H2): legacy oracle path clones the borrowed allocation once per solve; the SoA path keeps the borrow
-                    solver.solve(&demands, &capacities).clone()
+                // Round 0 re-primes the solver on this segment's demand
+                // bundles; later rounds rewrite only the rate caps, so
+                // the prefix walk's outcome is known and skipped. An
+                // unchanged structure extends that to round 0 too: the
+                // solver's last call already holds these exact bundles.
+                let alloc = if round == 0 && !structure_same {
+                    match prefix_hint {
+                        Some(lcp) => solver.solve_with_prefix_hint(&demands, &capacities, lcp),
+                        None => solver.solve(&demands, &capacities),
+                    }
                 } else {
-                    stats.solves += 1;
-                    equilibrium::solve(&demands, &capacities)
+                    solver.solve_same_demands(&demands, &capacities)
                 };
-                round_rates = alloc.rates;
-                last_loads = alloc.loads;
+                scratch.round_rates.clear();
+                scratch.round_rates.extend_from_slice(&alloc.rates);
+                scratch.last_loads.clear();
+                scratch.last_loads.extend_from_slice(&alloc.loads);
             }
-            let rates = round_rates;
 
             let mut group_rate = vec![0.0_f64; n_groups];
             for (k, &i) in runnable.iter().enumerate() {
-                let e = &entities[i];
-                if e.is_worker() {
-                    group_rate[e.group] += rates[k];
+                if soa.is_worker[i] {
+                    group_rate[soa.group[i]] += scratch.round_rates[k];
                 }
             }
-
-            let hottest = if trace.is_some() {
-                // Hottest *hardware* resource this segment (locks excluded).
-                last_loads
-                    .iter()
-                    .take(table.len())
-                    .enumerate()
-                    .map(|(r, &load)| (r, load / capacities[r].max(1e-12)))
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .filter(|&(_, util)| util > 0.0)
-                    .map(|(r, util)| {
-                        (table.get(pandia_topology::ResourceId(r)).kind, util.min(1.0))
-                    })
-            } else {
-                None
-            };
 
             CachedSegment {
                 // lint: allow(H2): the cache entry must own its key
                 key: seg_key.clone(),
-                rates,
-                group_rate,
-                hottest,
-                spill_frac_socket,
+                middle: Middle {
+                    // lint: allow(H2): the cache entry owns its rates; the scratch buffer is reused next segment
+                    rates: scratch.round_rates.clone(),
+                    group_rate,
+                    hottest: if traced {
+                        hottest(&table, &scratch.last_loads, &capacities)
+                    } else {
+                        None
+                    },
+                    // lint: allow(H2): the cache entry owns its outputs; the scratch buffer is reused next segment
+                    spill_frac_socket: scratch.spill_frac_socket.clone(),
+                },
             }
         };
 
@@ -1401,205 +1368,34 @@ fn run_multi_impl(
             fresh.insert(full_middle())
         };
         if replayed {
-            stats.segments_coalesced += 1;
+            segments_coalesced += 1;
         }
-
-        // Segment length: cover a fraction of the remaining runtime of the
-        // group closest to finishing, so completion times stay sharp.
-        let mut min_ttf = f64::INFINITY;
-        let mut total_rate = 0.0;
-        for (rem, rate) in group_remaining.iter().zip(&seg.group_rate) {
-            if *rem > 0.0 && *rate > 1e-12 {
-                min_ttf = min_ttf.min(rem / rate);
-            }
-            total_rate += rate;
-        }
-        if total_rate <= 1e-12 || !min_ttf.is_finite() {
-            // Deadlock guard: nothing is progressing (should not happen).
+        if !run.advance(&seg.middle, trace.as_deref_mut()) {
             break;
         }
-        // Segments are equal-length (a fixed quantum derived from the
-        // first segment's time-to-finish estimate) until the geometric
-        // tail takes over; once a group's residue is negligible, close it
-        // out exactly.
-        if segment == 0 {
-            quantum = min_ttf / config.min_segments.max(1) as f64;
-        }
-        let closing = (0..n_groups).any(|g| {
-            group_remaining[g] > 0.0
-                && group_remaining[g] <= groups[g].total_work * 1e-3
-                && seg.group_rate[g] > 1e-12
-        });
-        let dt = if closing {
-            min_ttf
-        } else {
-            (min_ttf * config.segment_fraction).min(quantum)
-        };
-
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.segments.push(TraceSegment {
-                start: elapsed,
-                dt,
-                // lint: allow(H2): opt-in trace path only; no allocation when tracing is off
-                group_rates: seg.group_rate.clone(),
-                hottest: seg.hottest,
-                runnable: runnable.len(),
-            });
-        }
-
-        // Progress work and accumulate counters.
-        pool_draw.fill(0.0);
-        for (k, &i) in runnable.iter().enumerate() {
-            let e = &mut entities[i];
-            if !e.is_worker() {
-                continue;
-            }
-            let progress = seg.rates[k] * dt;
-            let from_private = progress.min(e.private_work);
-            e.private_work -= from_private;
-            let from_pool =
-                if groups[e.group].pool_capable { progress - from_private } else { 0.0 };
-            pool_draw[e.group] += from_pool;
-            e.busy_time += dt;
-
-            // Counters charge each completed work unit its *average*
-            // demand: bursts redistribute traffic in time, but the bytes a
-            // unit of work needs are fixed, which is what a hardware
-            // counter integrates.
-            let moved = from_private + from_pool;
-            e.work_done += moved;
-            let d = e.behavior.demand;
-            let counters = &mut groups[e.group].counters;
-            counters.instructions += d.instr * moved;
-            counters.l1_bytes += d.l1 * moved;
-            counters.l2_bytes += d.l2 * moved;
-            counters.l3_bytes += d.l3 * moved;
-            let spill_frac = seg.spill_frac_socket[e.socket.0];
-            let dram_total = (d.dram + d.l3 * spill_frac) * moved;
-            for (node, &frac) in e.dram_split.iter().enumerate() {
-                counters.dram_bytes[node] += dram_total * frac;
-                if node != e.socket.0 {
-                    counters.interconnect_bytes += dram_total * frac;
-                }
-            }
-        }
-        // Reconcile the shared pools: over-draw in the fluid model simply
-        // means a pool drained partway through the segment.
-        for (g, gs) in groups.iter_mut().enumerate() {
-            gs.pool = (gs.pool - pool_draw[g]).max(0.0);
-            if gs.pool <= 1e-12 {
-                gs.pool = 0.0;
-            }
-        }
-        // Mark finished workers and completed groups.
-        for &i in &runnable {
-            let e = &mut entities[i];
-            if !e.is_worker() {
-                continue;
-            }
-            let gs = &groups[e.group];
-            if e.private_work <= 1e-12 && (gs.pool <= 1e-12 || !gs.pool_capable) {
-                e.private_work = 0.0;
-                e.finished = true;
-            }
-        }
-        elapsed += dt;
-        for (g, gs) in groups.iter_mut().enumerate() {
-            if gs.finish_time.is_none() {
-                let done = gs.workers == 0
-                    || (gs.pool <= 0.0
-                        && entities
-                            .iter()
-                            .filter(|e| e.is_worker() && e.group == g)
-                            .all(|e| e.finished));
-                if done {
-                    gs.finish_time = Some(elapsed);
-                }
-            }
-        }
-
-        // Persist rates for the next segment's relaxation bootstrap.
-        for (k, &i) in runnable.iter().enumerate() {
-            prev_rates[i] = seg.rates[k];
-        }
-        segment += 1;
     }
 
     let solver_stats = solver.stats();
-    stats.segments = segment as u64;
-    stats.solves += solver_stats.solves + solver_stats.delta_solves;
-    stats.solves_skipped += solver_stats.solves_skipped;
-    stats.solves_batched += solver_stats.prefix_solves;
+    let stats = SimStats {
+        segments: run.segment as u64,
+        segments_coalesced,
+        solves: solver_stats.solves + solver_stats.delta_solves,
+        solves_skipped: solver_stats.solves_skipped,
+        solves_batched: solver_stats.prefix_solves,
+    };
 
     // Aggregate telemetry once per run, outside the segment loop, so the
     // hot path carries no per-segment instrumentation.
     if pandia_obs::enabled() {
-        pandia_obs::count("sim.segments", segment as u64);
+        pandia_obs::count("sim.segments", stats.segments);
         pandia_obs::count("sim.segments_coalesced", stats.segments_coalesced);
         pandia_obs::count("sim.solves", stats.solves);
         pandia_obs::count("sim.solves_skipped", stats.solves_skipped);
         pandia_obs::count("sim.solves_batched", stats.solves_batched);
-        pandia_obs::observe("sim.segments_per_run", segment as f64);
-        pandia_obs::observe("sim.entities_per_run", entities.len() as f64);
+        pandia_obs::observe("sim.segments_per_run", run.segment as f64);
+        pandia_obs::observe("sim.entities_per_run", run.entities.len() as f64);
     }
-
-    // Assemble per-group results with seeded measurement noise plus any
-    // injected measurement corruption. With the default (empty) fault
-    // plan every injected factor is exactly 1.0 and no channel is zeroed,
-    // so the arithmetic below is bit-identical to the fault-free engine.
-    let faults = &config.faults;
-    let mut faults_injected = 0u64;
-    let results: Vec<RunResult> = inputs
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(g, group)| {
-            let gs = &groups[g];
-            let placement_hash = group
-                .placement
-                .contexts()
-                .iter()
-                .fold(g as u64, |acc, c| rng::splitmix64(acc ^ (c.0 as u64 + 0x51)));
-            let group_hash =
-                rng::splitmix64(rng::hash_str(&group.behavior.name) ^ placement_hash);
-            let noise_h = rng::mix(
-                inputs.seed,
-                rng::hash_str(&group.behavior.name),
-                placement_hash,
-                0xE,
-            );
-            let regime = faults.noise_regime_factor(inputs.seed, group_hash);
-            let burst = faults.interference_multiplier(inputs.seed, group_hash);
-            if regime > 1.0 {
-                faults_injected += 1;
-            }
-            if burst > 1.0 {
-                faults_injected += 1;
-            }
-            let noise = 1.0 + config.noise_sigma * regime * rng::gaussian_f64(noise_h);
-            let raw = gs.finish_time.unwrap_or(elapsed);
-            let group_elapsed = (raw * noise * burst).max(f64::MIN_POSITIVE);
-            let per_thread_busy = entities
-                .iter()
-                .filter(|e| e.is_worker() && e.group == g)
-                .map(|e| {
-                    if group_elapsed > 0.0 {
-                        (e.busy_time / group_elapsed).min(1.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let mut counters = gs.counters.clone();
-            faults_injected +=
-                apply_counter_dropout(faults, inputs.seed, group_hash, &mut counters);
-            RunResult { elapsed: group_elapsed, counters, per_thread_busy }
-        })
-        .collect();
-    if faults_injected > 0 && pandia_obs::enabled() {
-        pandia_obs::count("sim.faults_injected", faults_injected);
-    }
-    Ok((results, stats))
+    Ok((run.results(), stats))
 }
 
 /// Zeroes counter channels the fault plan drops for this run, returning
@@ -1658,6 +1454,403 @@ pub fn sibling_ctx(spec: &MachineSpec, ctx: CtxId) -> Option<CtxId> {
         Some(CtxId(ctx.0 + 1))
     } else {
         Some(CtxId(ctx.0 - 1))
+    }
+}
+
+#[cfg(test)]
+mod spec {
+    //! The engine's specification: a reference segment middle written as
+    //! plain per-entity loops over `Entity`/`Behavior` fields, with fresh
+    //! buffers every segment and a from-scratch [`equilibrium::solve`] in
+    //! every relaxation round — no SoA image, no memo, no solver state.
+    //! It shares only the unoptimized phases with production ([`RunState`]:
+    //! construction, per-segment bookkeeping, result assembly), and the
+    //! `oracle` tests diff production against it bit for bit.
+
+    use super::*;
+
+    /// Runs `inputs` through the spec: the results, the trace, and the
+    /// number of segments.
+    pub(super) fn run_multi(
+        inputs: &MultiRunInputs<'_>,
+        config: &EngineConfig,
+    ) -> Result<(Vec<RunResult>, RunTrace, u64), SimError> {
+        let mut run = RunState::new(inputs, config)?;
+        let table = ResourceTable::from_spec(inputs.spec);
+        let mut trace = RunTrace::default();
+        while run.next_segment() {
+            let seg = middle(&run, &table);
+            if !run.advance(&seg, Some(&mut trace)) {
+                break;
+            }
+        }
+        Ok((run.results(), trace, run.segment as u64))
+    }
+
+    /// One segment middle, computed from scratch.
+    fn middle(run: &RunState<'_>, table: &ResourceTable) -> Middle {
+        let (inputs, entities, runnable) = (run.inputs, &run.entities, &run.runnable);
+        let (spec, n_groups, lock_base) = (inputs.spec, run.groups.len(), table.len());
+        let multipliers: Vec<f64> = runnable
+            .iter()
+            .map(|&i| {
+                entities[i].behavior.burst.multiplier(burst_draw(inputs.seed, i, run.segment))
+            })
+            .collect();
+
+        // DVFS operating point from the cores that are busy.
+        let mut occupancy = vec![0u32; spec.total_cores()];
+        for &i in runnable {
+            occupancy[entities[i].core.0] += 1;
+        }
+        let mut active_cores = vec![0usize; spec.sockets];
+        for (c, &occ) in occupancy.iter().enumerate() {
+            if occ > 0 {
+                active_cores[spec.socket_of_core(CoreId(c)).0] += 1;
+            }
+        }
+        let dvfs = DvfsState::compute(spec, &active_cores, inputs.turbo, inputs.fill_background);
+
+        // LLC spill per socket from the resident working sets. Without
+        // adaptive insertion, spilled traffic also thrashes with socket
+        // occupancy (the paper's §2.2/§6.2 contrast).
+        let mut socket_ws = vec![0.0_f64; spec.sockets];
+        let mut residents = vec![0usize; spec.sockets];
+        for &i in runnable {
+            socket_ws[entities[i].socket.0] += entities[i].behavior.working_set_mib;
+            residents[entities[i].socket.0] += 1;
+        }
+        let spill_frac_socket: Vec<f64> = (0..spec.sockets)
+            .map(|s| {
+                let crowd = residents[s].saturating_sub(1) as f64;
+                let thrash = if spec.adaptive_llc {
+                    1.0
+                } else {
+                    1.0 + 0.35 * crowd / spec.cores_per_socket as f64
+                };
+                spill_fraction(socket_ws[s], spec.l3_mib, spec.adaptive_llc) * thrash
+            })
+            .collect();
+
+        // Latency interference: every SMT sibling in its high phase.
+        let mut interference = vec![0.0_f64; runnable.len()];
+        for (k, &i) in runnable.iter().enumerate() {
+            for (k2, &j) in runnable.iter().enumerate() {
+                if k2 != k && entities[j].core == entities[i].core {
+                    interference[k] += (multipliers[k2] - 1.0).max(0.0) * spec.smt_burst_collision;
+                }
+            }
+        }
+
+        // Capacities: core-clocked pools at their socket's frequency, the
+        // issue port shared by SMT siblings, then one lock per group.
+        let mut capacities: Vec<f64> = table.resources().iter().map(|r| r.capacity).collect();
+        for (c, &occ) in occupancy.iter().enumerate() {
+            let (core, scale) = (CoreId(c), dvfs.scale_for_core(spec, CoreId(c)));
+            let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
+            for (id, factor) in
+                [(table.core_issue(core), smt), (table.l1(core), 1.0), (table.l2(core), 1.0)]
+            {
+                capacities[id.0] = table.get(id).capacity * scale * factor;
+            }
+        }
+        capacities.resize(lock_base + n_groups, 1.0);
+
+        // Demand bundles: burst-scaled per-unit demands, spilled L3 traffic
+        // added to DRAM and split across nodes (remote shares also cross
+        // the interconnect), plus the group lock. Zero terms are left out.
+        let mut demands = Vec::new();
+        for (k, &i) in runnable.iter().enumerate() {
+            let (e, m) = (&entities[i], multipliers[k]);
+            let d = e.behavior.demand;
+            let mut bundle = Vec::new();
+            let mut push = |id: ResourceId, amt: f64| {
+                if amt > 0.0 {
+                    bundle.push((id.0, amt));
+                }
+            };
+            push(table.core_issue(e.core), d.instr * m);
+            push(table.l1(e.core), d.l1 * m);
+            push(table.l2(e.core), d.l2 * m);
+            push(table.l3_link(e.core), d.l3 * m);
+            push(table.l3_aggregate(e.socket), d.l3 * m);
+            let dram_total = (d.dram + d.l3 * spill_frac_socket[e.socket.0]) * m;
+            for (node, &frac) in e.dram_split.iter().enumerate() {
+                push(table.dram(SocketId(node)), dram_total * frac);
+                if let Some(link) = table.interconnect(e.socket, SocketId(node)) {
+                    push(link, dram_total * frac);
+                }
+            }
+            if e.is_worker() {
+                push(ResourceId(lock_base + e.group), e.behavior.seq_fraction);
+            }
+            demands.push(EntityDemand { demands: bundle, max_rate: 1.0 });
+        }
+
+        // Relaxation rounds: lock queueing and same-group communication
+        // slow each thread's intrinsic rate, a single thread cannot exceed
+        // its ILP share of the core, and the solve feeds the rates back.
+        let mut rates: Vec<f64> = runnable.iter().map(|&i| run.prev_rates[i]).collect();
+        let mut loads = Vec::new();
+        for _ in 0..run.config.relaxation_rounds {
+            let mut rho = vec![0.0_f64; n_groups];
+            for (k, &i) in runnable.iter().enumerate() {
+                if entities[i].is_worker() {
+                    rho[entities[i].group] += rates[k] * entities[i].behavior.seq_fraction;
+                }
+            }
+            for (k, &i) in runnable.iter().enumerate() {
+                let (e, scale) = (&entities[i], dvfs.scale_for_core(spec, entities[i].core));
+                let (mut queue, mut comm) = (0.0, 0.0);
+                if e.is_worker() {
+                    let r = rho[e.group].min(run.config.max_lock_rho);
+                    queue = e.behavior.seq_fraction * (r / (1.0 - r));
+                    for (k2, &j) in runnable.iter().enumerate() {
+                        let peer = &entities[j];
+                        if j != i && peer.is_worker() && peer.group == e.group {
+                            let hop = if peer.socket == e.socket {
+                                e.behavior.intra_socket_comm
+                            } else {
+                                1.0
+                            };
+                            let latency = hop * spec.interconnect_latency;
+                            let weight = (rates[k2] / scale.max(1e-9)).min(1.0);
+                            comm += e.behavior.comm_factor * latency * weight;
+                        }
+                    }
+                }
+                let instr = e.behavior.demand.instr * multipliers[k];
+                let mut max_rate = scale / (1.0 + queue + comm + interference[k]);
+                if instr > 0.0 {
+                    let ilp_cap = spec.single_thread_ilp * spec.core_ipc_rate * scale / instr;
+                    max_rate = max_rate.min(ilp_cap);
+                }
+                demands[k].max_rate = max_rate;
+            }
+            let alloc = equilibrium::solve(&demands, &capacities);
+            (rates, loads) = (alloc.rates, alloc.loads);
+        }
+
+        let mut group_rate = vec![0.0_f64; n_groups];
+        for (k, &i) in runnable.iter().enumerate() {
+            if entities[i].is_worker() {
+                group_rate[entities[i].group] += rates[k];
+            }
+        }
+        let hottest = hottest(table, &loads, &capacities);
+        Middle { rates, group_rate, hottest, spill_frac_socket }
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! Differential oracle: production against [`spec`] over seeded random
+    //! configurations — machines × workloads × placements × stressors ×
+    //! fault plans — on results, traces and errors, so any arithmetic
+    //! reordering in a fast path fails with the seed that exposed it.
+
+    use super::*;
+    use crate::behavior::{BurstProfile, Scheduling};
+    use pandia_topology::StressKind;
+
+    /// Sequential SplitMix64 stream, so each sweep replays from one seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let out = rng::splitmix64(self.0);
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            out
+        }
+
+        fn unit(&mut self) -> f64 {
+            rng::unit_f64(self.next())
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    fn random_machine(rng: &mut Rng) -> MachineSpec {
+        match rng.below(4) {
+            0 => MachineSpec::x3_2(),
+            1 => MachineSpec::x5_2(),
+            2 => MachineSpec::x2_4(),
+            _ => MachineSpec::toy(),
+        }
+    }
+
+    fn random_behavior(rng: &mut Rng, i: usize) -> Behavior {
+        let mut b =
+            Behavior::compute(&format!("w{i}"), 10.0 + rng.unit() * 50.0, 0.5 + rng.unit() * 5.0);
+        if rng.unit() < 0.5 {
+            b.seq_fraction = rng.unit() * 0.2;
+        }
+        if rng.unit() < 0.5 {
+            b.comm_factor = rng.unit() * 0.03;
+        }
+        if rng.unit() < 0.5 {
+            b.burst = BurstProfile::bursty(0.2 + rng.unit() * 0.6, 1.2 + rng.unit() * 1.5);
+        }
+        b.demand.l2 = rng.unit() * 3.0;
+        b.demand.l3 = rng.unit() * 4.0;
+        b.demand.dram = rng.unit() * 3.0;
+        b.working_set_mib = rng.unit() * 80.0;
+        match rng.below(5) {
+            0 => b.data_placement = DataPlacement::Interleave,
+            1 => b.data_placement = DataPlacement::ThreadLocal,
+            2 => b.data_placement = DataPlacement::FirstTouch,
+            _ => {}
+        }
+        if rng.unit() < 0.3 {
+            b.scheduling = Scheduling::Partial { dynamic_fraction: rng.unit() };
+        }
+        b
+    }
+
+    fn random_placement(rng: &mut Rng, spec: &MachineSpec) -> Placement {
+        let n = 1 + rng.below((spec.total_cores() * 2).clamp(1, 8));
+        let attempt =
+            if rng.unit() < 0.5 { Placement::spread(spec, n) } else { Placement::packed(spec, n) };
+        attempt.or_else(|_| Placement::spread(spec, 1)).expect("one thread always places")
+    }
+
+    /// One random single-group run: machine, workload and placement.
+    fn random_single(rng: &mut Rng, i: usize) -> (MachineSpec, Behavior, Placement) {
+        let spec = random_machine(rng);
+        let behavior = random_behavior(rng, i);
+        let placement = random_placement(rng, &spec);
+        (spec, behavior, placement)
+    }
+
+    fn inputs<'a>(
+        spec: &'a MachineSpec,
+        groups: &'a [GroupInput<'a>],
+        seed: u64,
+    ) -> MultiRunInputs<'a> {
+        MultiRunInputs { spec, groups, stressors: &[], fill_background: true, turbo: true, seed }
+    }
+
+    /// Asserts production and the spec agree exactly: equal results and
+    /// traces, or equal errors.
+    fn assert_matches_spec(inputs: &MultiRunInputs<'_>, config: &EngineConfig, label: &str) {
+        match (run_multi_traced(inputs, config), spec::run_multi(inputs, config)) {
+            (Ok((results, trace)), Ok((spec_results, spec_trace, _))) => {
+                assert_eq!(results, spec_results, "{label}: results diverged");
+                assert_eq!(trace, spec_trace, "{label}: traces diverged");
+            }
+            (Err(err), Err(spec_err)) => assert_eq!(err, spec_err, "{label}: errors diverged"),
+            (prod, spec) => {
+                panic!("{label}: one engine failed, the other did not: {prod:?} vs {spec:?}")
+            }
+        }
+    }
+
+    #[test]
+    fn production_matches_spec_over_seeded_random_configs() {
+        let mut rng = Rng(0xD1FF_0AC1E ^ 0x5EED);
+        for case in 0..24u64 {
+            let spec = random_machine(&mut rng);
+            let n_groups = 1 + rng.below(2);
+            let behaviors: Vec<Behavior> =
+                (0..n_groups).map(|g| random_behavior(&mut rng, g)).collect();
+            let placements: Vec<Placement> =
+                (0..n_groups).map(|_| random_placement(&mut rng, &spec)).collect();
+            let groups: Vec<GroupInput<'_>> = behaviors
+                .iter()
+                .zip(&placements)
+                .map(|(b, p)| GroupInput { behavior: b, placement: p, data_placement: None })
+                .collect();
+            let stressors: Vec<StressPin> = if rng.unit() < 0.4 {
+                let kind = if rng.unit() < 0.5 { StressKind::Cpu } else { StressKind::DramLocal };
+                vec![StressPin { kind, ctx: CtxId(rng.below(spec.total_cores())) }]
+            } else {
+                Vec::new()
+            };
+            let inputs = MultiRunInputs {
+                spec: &spec,
+                groups: &groups,
+                stressors: &stressors,
+                fill_background: rng.unit() < 0.5,
+                turbo: rng.unit() < 0.7,
+                seed: 1000 + case,
+            };
+            assert_matches_spec(&inputs, &EngineConfig::default(), &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn production_matches_spec_with_armed_fault_plans() {
+        // Armed plans turn the memo off and gate the run's results:
+        // transient-fault errors, noise regimes and counter dropouts must
+        // come out of both engines identically.
+        let mut rng = Rng(0xFA_017);
+        for case in 0..12u64 {
+            let (spec, b, p) = random_single(&mut rng, case as usize);
+            let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
+            let faults = FaultPlan::with_intensity(0.2 + rng.unit() * 0.7);
+            let config = EngineConfig { faults, ..EngineConfig::default() };
+            let label = format!("fault case {case}");
+            assert_matches_spec(&inputs(&spec, &groups, 7000 + case), &config, &label);
+        }
+    }
+
+    #[test]
+    fn production_matches_spec_on_fault_boundary_plans() {
+        // A zero-rate plan with extreme scale knobs injects nothing; an
+        // armed plan must also disable the memo.
+        let spec = MachineSpec::x3_2();
+        let mut b = Behavior::compute("boundary", 30.0, 4.0);
+        b.burst = BurstProfile::bursty(0.4, 2.0);
+        b.seq_fraction = 0.05;
+        let p = Placement::packed(&spec, 4).expect("placement");
+        let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
+        let inputs = inputs(&spec, &groups, 99);
+        let zero_plan = FaultPlan {
+            transient_rate: 0.0,
+            dropout_rate: 0.0,
+            interference_rate: 0.0,
+            interference_scale: 1e9,
+            high_noise_rate: 0.0,
+            high_noise_factor: 1e9,
+        };
+        for (name, faults) in [
+            ("none", FaultPlan::none()),
+            ("zero-rate", zero_plan),
+            ("armed", FaultPlan::with_intensity(0.5)),
+        ] {
+            let armed = !faults.is_none();
+            let config = EngineConfig { faults, ..EngineConfig::default() };
+            assert_matches_spec(&inputs, &config, name);
+            if let (true, Ok((_, stats))) = (armed, run_multi_stats(&inputs, &config)) {
+                assert_eq!(stats.segments_coalesced, 0, "{name}: armed plan must disable the memo");
+            }
+        }
+    }
+
+    #[test]
+    fn solve_counters_reconcile_with_the_spec_segment_count() {
+        // Every solver call lands in exactly one bucket — full/delta
+        // (solves), skipped, or batched — and a replayed segment stands
+        // for `relaxation_rounds` calls, so the buckets add up to
+        // `relaxation_rounds` solves per segment of the spec's schedule.
+        let mut rng = Rng(0x5EED_5041);
+        let rounds = EngineConfig::default().relaxation_rounds as u64;
+        for case in 0..10u64 {
+            let (spec, b, p) = random_single(&mut rng, case as usize);
+            let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
+            let inputs = inputs(&spec, &groups, 3000 + case);
+            let (_, stats) = run_multi_stats(&inputs, &EngineConfig::default()).expect("run");
+            let (_, _, segments) = spec::run_multi(&inputs, &EngineConfig::default()).expect("run");
+            assert_eq!(stats.segments, segments, "case {case}: segment schedules differ");
+            let replayed = rounds * stats.segments_coalesced;
+            assert_eq!(
+                stats.solves + stats.solves_skipped + stats.solves_batched + replayed,
+                rounds * segments,
+                "case {case}: solve counters must reconcile ({stats:?})"
+            );
+        }
     }
 }
 
@@ -2169,9 +2362,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_path_is_bitwise_identical_to_naive() {
+    fn fast_paths_are_bitwise_identical_to_the_spec() {
         // Smooth and bursty, lock-bound and comm-bound, with stressors:
-        // the fast path must reproduce the naive loop bit for bit.
+        // the engine must reproduce the reference engine bit for bit.
         let spec = MachineSpec::x3_2();
         let mut locky = Behavior::compute("locky", 50.0, 1.0);
         locky.seq_fraction = 0.1;
@@ -2185,23 +2378,19 @@ mod tests {
                 kind: StressKind::Cpu,
                 ctx: sibling_ctx(&spec, p.contexts()[3]).unwrap(),
             }];
-            let inputs = RunInputs {
+            let group = GroupInput { behavior: b, placement: &p, data_placement: None };
+            let inputs = MultiRunInputs {
                 spec: &spec,
-                behavior: b,
-                placement: &p,
+                groups: std::slice::from_ref(&group),
                 stressors: &stress,
                 fill_background: true,
                 turbo: true,
-                data_placement: None,
                 seed,
             };
-            let fast = run(&inputs, &EngineConfig::default()).expect("fault-free run");
-            let naive = run(
-                &inputs,
-                &EngineConfig { incremental: false, ..EngineConfig::default() },
-            )
-            .expect("fault-free run");
-            assert_eq!(fast, naive, "{}: fast path diverged from naive", b.name);
+            let fast = run_multi(&inputs, &EngineConfig::default()).expect("fault-free run");
+            let (reference, _, _) =
+                spec::run_multi(&inputs, &EngineConfig::default()).expect("fault-free run");
+            assert_eq!(fast, reference, "{}: fast paths diverged from the spec", b.name);
         }
     }
 
@@ -2226,16 +2415,8 @@ mod tests {
             "smooth run should mostly coalesce: {stats:?}"
         );
         assert!(stats.solves_skipped > 0, "relaxation re-solves should hit the cache: {stats:?}");
-
-        // The escape hatch really disables the fast path.
-        let (_, naive) = run_multi_stats(
-            &inputs,
-            &EngineConfig { incremental: false, ..EngineConfig::default() },
-        )
-        .expect("run");
-        assert_eq!(naive.segments_coalesced, 0);
-        assert_eq!(naive.solves_skipped, 0);
-        assert_eq!(naive.segments, stats.segments, "segment count must not change");
+        let (_, _, segments) = spec::run_multi(&inputs, &EngineConfig::default()).expect("run");
+        assert_eq!(stats.segments, segments, "coalescing must not change the segment count");
     }
 
     #[test]
@@ -2244,8 +2425,8 @@ mod tests {
         // of a bursty run rarely match — but the (runnable, multipliers,
         // warm start) triple *recurs* once the rate dynamics settle into
         // the finitely many phase patterns, and each recurrence replays
-        // from the memo. The naive run must agree bit for bit and report
-        // an untouched segment schedule.
+        // from the memo. The spec must agree bit for bit over the same
+        // segment schedule.
         let spec = MachineSpec::x3_2();
         let mut b = Behavior::compute("bursty", 40.0, 4.0);
         b.burst = crate::behavior::BurstProfile::bursty(0.4, 2.0);
@@ -2269,14 +2450,10 @@ mod tests {
             "a bursty run cannot replay every segment: {stats:?}"
         );
 
-        let (naive, naive_stats) = run_multi_stats(
-            &inputs,
-            &EngineConfig { incremental: false, ..EngineConfig::default() },
-        )
-        .expect("run");
-        assert_eq!(fast, naive, "memoized segments diverged from the naive loop");
-        assert_eq!(naive_stats.segments, stats.segments, "segment count must not change");
-        assert_eq!(naive_stats.segments_coalesced, 0);
+        let (reference, _, segments) =
+            spec::run_multi(&inputs, &EngineConfig::default()).expect("run");
+        assert_eq!(fast, reference, "memoized segments diverged from the spec");
+        assert_eq!(stats.segments, segments, "segment count must not change");
     }
 
     #[test]

@@ -376,25 +376,8 @@ impl IncrementalSolver {
         for e in &entities[lcp..] {
             self.prefix.push(e);
         }
-        // Refresh the stored rate caps: the pristine state ignores their
-        // values, but the skip check above needs the exact bits.
-        for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
-            slot.max_rate = src.max_rate;
-        }
-        self.capacities.clear();
-        self.capacities.extend_from_slice(capacities);
-        fill_pristine(
-            entities,
-            capacities,
-            &self.prefix.active,
-            &self.prefix.contrib,
-            &self.prefix.live,
-            &self.prefix.slope,
-            &mut self.scratch,
-            &mut self.allocation,
-        );
         self.primed = true;
-        &self.allocation
+        self.fill(entities, capacities)
     }
 
     /// [`Self::solve`] for callers that know, from their own change
@@ -449,22 +432,7 @@ impl IncrementalSolver {
         for e in &entities[lcp..] {
             self.prefix.push(e);
         }
-        for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
-            slot.max_rate = src.max_rate;
-        }
-        self.capacities.clear();
-        self.capacities.extend_from_slice(capacities);
-        fill_pristine(
-            entities,
-            capacities,
-            &self.prefix.active,
-            &self.prefix.contrib,
-            &self.prefix.live,
-            &self.prefix.slope,
-            &mut self.scratch,
-            &mut self.allocation,
-        );
-        &self.allocation
+        self.fill(entities, capacities)
     }
 
     /// [`Self::solve`] for callers that *know* every demand bundle is
@@ -501,6 +469,13 @@ impl IncrementalSolver {
             return &self.allocation;
         }
         self.stats.prefix_solves += 1;
+        self.fill(entities, capacities)
+    }
+
+    /// Records this call's rate caps and capacities — the pristine state
+    /// ignores their values, but the next call's skip check needs the
+    /// exact bits — and runs the filling loop over the pristine stack.
+    fn fill(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &Allocation {
         for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
             slot.max_rate = src.max_rate;
         }
@@ -518,24 +493,6 @@ impl IncrementalSolver {
         );
         &self.allocation
     }
-}
-
-/// Solves every candidate entity list against one shared capacity
-/// vector, batching the pristine-state construction across candidates
-/// that share demand prefixes: each candidate reuses the longest leading
-/// run of entities bitwise shared with its predecessor (one prefix build
-/// fanned out to all sharing candidates), then runs its own filling
-/// loop. Bit-identical to calling [`solve`] on each candidate
-/// independently, in any sharing pattern — all-share, none-share, or
-/// nested prefixes.
-///
-/// Callers that sweep structured candidate sets (e.g. placements that
-/// differ only in their trailing threads) should order candidates so
-/// neighbours share long prefixes; correctness never depends on the
-/// order.
-pub fn solve_batch(candidates: &[Vec<EntityDemand>], capacities: &[f64]) -> Vec<Allocation> {
-    let mut solver = IncrementalSolver::new();
-    candidates.iter().map(|c| solver.solve(c, capacities).clone()).collect()
 }
 
 /// Bitwise equality of two capacity vectors.

@@ -38,7 +38,7 @@ pub mod trace;
 
 pub use behavior::{Behavior, BurstProfile, Scheduling, UnitDemand};
 pub use engine::SimStats;
-pub use equilibrium::{solve_batch, IncrementalSolver, SolveStats};
+pub use equilibrium::{IncrementalSolver, SolveStats};
 pub use fault::{FaultPlan, SimError};
 pub use machine::{SimConfig, SimMachine};
 pub use trace::{RunTrace, TraceSegment, DEFAULT_BOTTLENECK_UTIL};

@@ -12,17 +12,16 @@ use pandia_topology::{
 use crate::{
     behavior::Behavior,
     engine::{self, EngineConfig, GroupInput, MultiRunInputs, RunInputs},
+    fault::SimError,
     stress,
 };
 
 /// Simulation configuration for a [`SimMachine`].
-#[derive(Debug, Clone, PartialEq)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
     /// Engine tunables (segmenting, relaxation, noise).
     pub engine: EngineConfig,
 }
-
 
 impl SimConfig {
     /// A configuration with measurement noise disabled, for tests that
@@ -34,23 +33,6 @@ impl SimConfig {
     /// Returns this configuration with the given fault-injection plan.
     pub fn with_faults(mut self, faults: crate::fault::FaultPlan) -> Self {
         self.engine.faults = faults;
-        self
-    }
-
-    /// Returns this configuration with the engine's incremental fast path
-    /// (solve reuse + steady-segment coalescing) toggled. On by default;
-    /// the escape hatch lets tests run both paths and assert equivalence.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.engine.incremental = incremental;
-        self
-    }
-
-    /// Returns this configuration with the engine's structure-of-arrays
-    /// segment middle toggled. On by default; `with_soa(false)` selects
-    /// the legacy per-entity-struct walk so the differential oracle suite
-    /// can assert both layouts produce bit-identical results.
-    pub fn with_soa(mut self, soa: bool) -> Self {
-        self.engine.soa = soa;
         self
     }
 }
@@ -105,34 +87,26 @@ impl SimMachine {
         &mut self,
         req: &MultiRunRequest<Behavior>,
     ) -> Result<(Vec<RunResult>, crate::trace::RunTrace), PlatformError> {
-        self.validate_multi(req)?;
-        let groups: Vec<GroupInput<'_>> = req
-            .jobs
-            .iter()
-            .map(|job| GroupInput {
-                behavior: &job.workload,
-                placement: &job.placement,
-                data_placement: job.data_placement,
-            })
-            .collect();
-        let inputs = MultiRunInputs {
-            spec: &self.spec,
-            groups: &groups,
-            stressors: &[],
-            fill_background: req.fill_background,
-            turbo: req.turbo,
-            seed: req.seed,
-        };
-        engine::run_multi_traced(&inputs, &self.config.engine).map_err(PlatformError::from)
+        self.run_engine(req, engine::run_multi_traced)
     }
 
     /// Runs several workloads concurrently, additionally returning the
     /// engine's [`crate::engine::SimStats`] so callers can assert on the
-    /// incremental fast path (solve reuse, segment coalescing) directly.
+    /// engine's fast paths (solve reuse, segment coalescing) directly.
     pub fn run_multi_stats(
         &mut self,
         req: &MultiRunRequest<Behavior>,
     ) -> Result<(Vec<RunResult>, crate::engine::SimStats), PlatformError> {
+        self.run_engine(req, engine::run_multi_stats)
+    }
+
+    /// Validates a multi-run request and runs its jobs through one of the
+    /// engine's multi-run entry points.
+    fn run_engine<T>(
+        &self,
+        req: &MultiRunRequest<Behavior>,
+        run: impl FnOnce(&MultiRunInputs<'_>, &EngineConfig) -> Result<T, SimError>,
+    ) -> Result<T, PlatformError> {
         self.validate_multi(req)?;
         let groups: Vec<GroupInput<'_>> = req
             .jobs
@@ -151,7 +125,7 @@ impl SimMachine {
             turbo: req.turbo,
             seed: req.seed,
         };
-        engine::run_multi_stats(&inputs, &self.config.engine).map_err(PlatformError::from)
+        run(&inputs, &self.config.engine).map_err(PlatformError::from)
     }
 
     fn validate_multi(&self, req: &MultiRunRequest<Behavior>) -> Result<(), PlatformError> {
@@ -247,25 +221,7 @@ impl Platform for SimMachine {
     ) -> Result<Vec<RunResult>, PlatformError> {
         let _span = pandia_obs::span("sim", "run_multi").arg("jobs", req.jobs.len());
         pandia_obs::count("sim.multi_runs", 1);
-        self.validate_multi(req)?;
-        let groups: Vec<GroupInput<'_>> = req
-            .jobs
-            .iter()
-            .map(|job| GroupInput {
-                behavior: &job.workload,
-                placement: &job.placement,
-                data_placement: job.data_placement,
-            })
-            .collect();
-        let inputs = MultiRunInputs {
-            spec: &self.spec,
-            groups: &groups,
-            stressors: &[],
-            fill_background: req.fill_background,
-            turbo: req.turbo,
-            seed: req.seed,
-        };
-        engine::run_multi(&inputs, &self.config.engine).map_err(PlatformError::from)
+        self.run_engine(req, engine::run_multi)
     }
 }
 

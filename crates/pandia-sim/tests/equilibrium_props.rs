@@ -6,7 +6,7 @@
 //! splitmix64 generator: every case is reproducible from its printed
 //! seed.
 
-use pandia_sim::equilibrium::{solve, solve_batch, Allocation, EntityDemand, IncrementalSolver};
+use pandia_sim::equilibrium::{solve, Allocation, EntityDemand, IncrementalSolver};
 
 const CASES: u64 = 48;
 
@@ -185,20 +185,19 @@ fn incremental_matches_from_scratch_bitwise() {
     }
 }
 
-/// Asserts `solve_batch` over `candidates` is bitwise the independent
-/// solve of each candidate, and that at least `min_fast` of the batch's
-/// solver calls avoided a from-scratch rebuild when sharing was present.
+/// Drives one [`IncrementalSolver`] over `candidates` in order and asserts
+/// each answer is bitwise the independent solve of that candidate, so
+/// every reuse path the sharing pattern reaches is checked.
 fn assert_batch_matches_independent(
     candidates: &[Vec<EntityDemand>],
     capacities: &[f64],
     what: &str,
     seed: u64,
 ) {
-    let batched = solve_batch(candidates, capacities);
-    assert_eq!(batched.len(), candidates.len(), "{what} (seed {seed})");
-    for (c, (got, cand)) in batched.iter().zip(candidates).enumerate() {
-        let independent = solve(cand, capacities);
-        assert_bits_eq(got, &independent, &format!("{what} candidate {c}"), seed);
+    let mut solver = IncrementalSolver::new();
+    for (c, cand) in candidates.iter().enumerate() {
+        let got = solver.solve(cand, capacities);
+        assert_bits_eq(got, &solve(cand, capacities), &format!("{what} candidate {c}"), seed);
     }
 }
 
@@ -270,8 +269,7 @@ fn batched_solves_match_independent_on_nested_prefixes() {
 fn batched_prefix_reuse_survives_capacity_changes() {
     // The pristine contributor state is independent of capacities, so a
     // batch whose candidates share demands but see different capacity
-    // vectors must still fan one prefix build across all of them. Driven
-    // through the solver directly since `solve_batch` fixes capacities.
+    // vectors must still fan one prefix build across all of them.
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let (base, capacities) = random_instance(&mut rng);
@@ -305,5 +303,107 @@ fn incremental_survives_interleaved_input_changes() {
             let b = solver.solve(&b_entities, &b_caps);
             assert_bits_eq(b, &solve(&b_entities, &b_caps), "interleaved b", seed);
         }
+    }
+}
+
+/// Perturbs every rate cap (kept positive, so the pristine state's
+/// active set is unchanged).
+fn new_rate_caps(rng: &mut Rng, entities: &mut [EntityDemand]) {
+    for e in entities {
+        e.max_rate = rng.f64_in(0.1, 3.0);
+    }
+}
+
+/// Scales one demand of entity `k`, so its bundle no longer matches.
+fn move_bundle(rng: &mut Rng, entities: &mut [EntityDemand], k: usize) {
+    let d = &mut entities[k].demands[0].1;
+    *d *= rng.f64_in(1.1, 2.0);
+}
+
+#[test]
+fn same_demand_solves_match_plain_solves() {
+    // `solve_same_demands` skips the prefix walk for callers that know no
+    // demand bundle moved. Over rate-cap and capacity changes only (and
+    // exact repeats), it must return `solve`'s bits and count every call
+    // exactly as the same calls through plain `IncrementalSolver::solve`.
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let (mut entities, base_caps) = random_instance(&mut rng);
+        let mut caps = base_caps.clone();
+        let (mut known, mut plain) = (IncrementalSolver::new(), IncrementalSolver::new());
+        known.solve(&entities, &caps);
+        plain.solve(&entities, &caps);
+        for step in 0..9 {
+            match step % 3 {
+                0 => new_rate_caps(&mut rng, &mut entities),
+                1 => caps = base_caps.iter().map(|c| c * rng.f64_in(0.5, 2.0)).collect(),
+                _ => {}
+            }
+            let got = known.solve_same_demands(&entities, &caps);
+            assert_bits_eq(got, &solve(&entities, &caps), "same demands", seed);
+            plain.solve(&entities, &caps);
+        }
+        let stats = known.stats();
+        assert_eq!(stats, plain.stats(), "same-demand counters (seed {seed})");
+        assert_eq!(stats.solves_skipped, 3, "one exact repeat per cycle: {stats:?}");
+        assert_eq!(stats.prefix_solves, 6, "caps or capacities moved: {stats:?}");
+    }
+}
+
+#[test]
+fn prefix_hinted_solves_match_plain_solves_on_a_true_prefix() {
+    // The caller's hint is the true shared prefix: every entity before it
+    // is unchanged and the one at it moved. Later entities move at random.
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let (mut entities, caps) = random_instance(&mut rng);
+        let n = entities.len();
+        let (mut hinted, mut plain) = (IncrementalSolver::new(), IncrementalSolver::new());
+        hinted.solve(&entities, &caps);
+        plain.solve(&entities, &caps);
+        for _ in 0..4 {
+            let lcp = rng.usize_in(0, n - 1);
+            move_bundle(&mut rng, &mut entities, lcp);
+            for k in lcp + 1..n {
+                if rng.f64_in(0.0, 1.0) < 0.5 {
+                    move_bundle(&mut rng, &mut entities, k);
+                }
+            }
+            if rng.f64_in(0.0, 1.0) < 0.5 {
+                new_rate_caps(&mut rng, &mut entities);
+            }
+            let got = hinted.solve_with_prefix_hint(&entities, &caps, lcp);
+            assert_bits_eq(got, &solve(&entities, &caps), "true prefix hint", seed);
+            plain.solve(&entities, &caps);
+        }
+        assert_eq!(hinted.stats(), plain.stats(), "true-prefix counters (seed {seed})");
+    }
+}
+
+#[test]
+fn prefix_hinted_solves_fall_back_when_the_boundary_is_compatible() {
+    // The hinted boundary entity did not in fact move (a multiplier change
+    // whose scaled entries round to the same bits): the solver must
+    // re-derive the true prefix, which lies further on or covers the
+    // whole list, and count the call as plain `solve` would.
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let (mut entities, caps) = random_instance(&mut rng);
+        let n = entities.len();
+        let (mut hinted, mut plain) = (IncrementalSolver::new(), IncrementalSolver::new());
+        hinted.solve(&entities, &caps);
+        plain.solve(&entities, &caps);
+        for _ in 0..4 {
+            let lcp = rng.usize_in(1, n);
+            if lcp < n {
+                move_bundle(&mut rng, &mut entities, lcp);
+            }
+            new_rate_caps(&mut rng, &mut entities);
+            let hint = rng.usize_in(0, lcp - 1);
+            let got = hinted.solve_with_prefix_hint(&entities, &caps, hint);
+            assert_bits_eq(got, &solve(&entities, &caps), "compatible boundary hint", seed);
+            plain.solve(&entities, &caps);
+        }
+        assert_eq!(hinted.stats(), plain.stats(), "fallback counters (seed {seed})");
     }
 }
