@@ -16,27 +16,28 @@
 //!   results **in input order**. With one worker it degenerates to a
 //!   plain serial loop; outputs are bit-identical regardless of the
 //!   worker count.
-//! * [`PredictionCache`] — a sharded, thread-safe memo table keyed by a
-//!   stable fingerprint of (machine description, workload description,
-//!   placement contexts, predictor config). Repeated sweeps over
-//!   overlapping candidate sets (e.g. `plan` followed by
+//! * [`PredictionCache`] — a sharded, thread-safe, bounded memo table
+//!   keyed by a stable fingerprint of (machine description, workload
+//!   description, placement contexts, predictor config). Repeated sweeps
+//!   over overlapping candidate sets (e.g. `plan` followed by
 //!   `scaling_profile`) hit the cache instead of re-running the
-//!   fixed-point iteration.
+//!   fixed-point iteration. Stored predictions are shared, so a hit is a
+//!   reference-count bump, not a copy.
 //!
 //! [`PredictSession`] and [`JointSession`] bind the two together for
 //! single-workload and co-scheduled predictions respectively: they hash
 //! the sweep-invariant inputs once, then extend the fingerprint with
 //! each placement's context list per call.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pandia_topology::Placement;
 
 use crate::{
     description::MachineDescription,
     error::PandiaError,
+    memo::LruMemo,
     predictor::{predict, predict_jobs, Prediction, PredictorConfig},
     workload_desc::WorkloadDescription,
 };
@@ -80,9 +81,13 @@ impl Fingerprint {
         self.write(&[0xff]);
     }
 
-    /// Feeds one integer (little-endian).
+    /// Feeds one integer as a single 64-bit word: one mixing step per
+    /// stream, not one per byte. Keys never leave the process, so the
+    /// step only has to keep distinct inputs apart.
     pub fn write_usize(&mut self, v: usize) {
-        self.write(&(v as u64).to_le_bytes());
+        let word = v as u64;
+        self.a = (self.a ^ word).wrapping_mul(Self::FNV_PRIME);
+        self.b = (self.b ^ word).wrapping_mul(Self::MIX_MULT).rotate_left(17);
     }
 
     /// The combined 128-bit key.
@@ -124,44 +129,42 @@ impl CacheStats {
 }
 
 /// Number of independently locked shards; a power of two so the key can
-/// be reduced with a mask.
-const SHARD_COUNT: usize = 16;
+/// be reduced with a mask. Eight keep lock contention negligible on the
+/// worker counts sweeps use, and keep the cache one small allocation
+/// (every `ExecContext::new` makes one).
+const SHARD_COUNT: usize = 8;
 
 /// Default total entry budget across all shards. Generous enough that
 /// the committed sweeps never evict, small enough that a long-lived
 /// daemon's prediction memory stays bounded.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// One memoized prediction vector plus its last-touched stamp (for LRU
-/// victim selection).
-#[derive(Debug)]
-struct CacheEntry {
-    predictions: Vec<Prediction>,
-    stamp: u64,
+/// One shard: a bounded LRU memo of shared prediction slices.
+type Shard = Mutex<LruMemo<u128, Arc<[Prediction]>>>;
+
+fn lock(shard: &Shard) -> MutexGuard<'_, LruMemo<u128, Arc<[Prediction]>>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A sharded, thread-safe, bounded memo table from prediction
 /// fingerprints to prediction results.
 ///
-/// Values are stored as `Vec<Prediction>` so single-workload predictions
-/// (length 1) and joint co-schedule predictions (one per job) share one
-/// table. Sharding keeps lock contention negligible when many workers
-/// look up predictions concurrently.
+/// Values are shared `Arc<[Prediction]>` slices, so single-workload
+/// predictions (length 1) and joint co-schedule predictions (one per
+/// job) share one table, and a hit hands out the stored slice without
+/// copying it. Sharding keeps lock contention negligible when many
+/// workers look up predictions concurrently.
 ///
 /// Each shard holds at most `capacity / SHARD_COUNT` entries; inserting
 /// past that bound evicts the least-recently-used entry in the shard
 /// (counted in [`CacheStats::evictions`] and the `cache.evictions`
 /// telemetry counter). Eviction only ever discards memoized work — the
 /// cache is a pure memo, so results are bit-identical at any capacity.
-/// Shards are `BTreeMap`s so the eviction scan iterates in deterministic
-/// key order (ties on the stamp cannot introduce nondeterminism).
 #[derive(Debug)]
 pub struct PredictionCache {
-    shards: [Mutex<BTreeMap<u128, CacheEntry>>; SHARD_COUNT],
+    shards: [Shard; SHARD_COUNT],
     /// Per-shard entry budget.
     shard_capacity: usize,
-    /// Monotonic recency clock shared by all shards.
-    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -177,9 +180,8 @@ impl PredictionCache {
     /// entries (rounded up to a multiple of the shard count).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            shards: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
+            shards: [const { Mutex::new(LruMemo::new()) }; SHARD_COUNT],
             shard_capacity: capacity.div_ceil(SHARD_COUNT).max(1),
-            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -191,21 +193,15 @@ impl PredictionCache {
         self.shard_capacity * SHARD_COUNT
     }
 
-    fn shard(&self, key: u128) -> &Mutex<BTreeMap<u128, CacheEntry>> {
+    fn shard(&self, key: u128) -> &Shard {
         &self.shards[(key as usize) & (SHARD_COUNT - 1)]
     }
 
     /// Looks a key up, counting the hit or miss (both locally and, when
     /// telemetry is on, in the global metrics registry). A hit refreshes
-    /// the entry's recency stamp.
-    pub fn lookup(&self, key: u128) -> Option<Vec<Prediction>> {
-        let found = {
-            let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
-            shard.get_mut(&key).map(|entry| {
-                entry.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                entry.predictions.clone()
-            })
-        };
+    /// the entry's recency and shares the stored slice.
+    pub fn lookup(&self, key: u128) -> Option<Arc<[Prediction]>> {
+        let found = lock(self.shard(key)).get(&key).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             pandia_obs::count("predict.cache.hits", 1);
@@ -217,30 +213,23 @@ impl PredictionCache {
     }
 
     /// Stores predictions under a key, evicting the shard's
-    /// least-recently-used entry first when the shard is full.
-    pub fn store(&self, key: u128, predictions: Vec<Prediction>) {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
-        if shard.len() >= self.shard_capacity && !shard.contains_key(&key) {
-            // LRU victim: smallest stamp; BTreeMap order breaks ties
-            // deterministically.
-            if let Some(victim) =
-                shard.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k)
-            {
-                shard.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                pandia_obs::count("cache.evictions", 1);
-            }
+    /// least-recently-used entry when the shard is full.
+    pub fn store(&self, key: u128, predictions: impl Into<Arc<[Prediction]>>) {
+        let predictions = predictions.into();
+        let evicted = {
+            let mut shard = lock(self.shard(key));
+            shard.insert(key, predictions);
+            shard.evict_to(self.shard_capacity)
+        };
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            pandia_obs::count("cache.evictions", evicted);
         }
-        shard.insert(key, CacheEntry { predictions, stamp });
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -296,23 +285,9 @@ impl ExecContext {
         Self::new(jobs)
     }
 
-    /// Sets the worker count (minimum 1).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
     /// Enables (fresh cache) or disables memoization.
     pub fn with_cache(mut self, enabled: bool) -> Self {
         self.cache = if enabled { Some(Arc::new(PredictionCache::new())) } else { None };
-        self
-    }
-
-    /// Replaces the cache with a fresh one bounded to roughly
-    /// `capacity` entries. Eviction discards memoized work only, never
-    /// answers — results are bit-identical at any capacity.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Some(Arc::new(PredictionCache::with_capacity(capacity)));
         self
     }
 
@@ -457,7 +432,7 @@ impl Default for ExecContext {
 /// triple.
 ///
 /// The sweep-invariant inputs are serialized and hashed once at
-/// construction; each [`PredictSession::predict`] call extends that
+/// construction; each [`PredictSession::predict_with`] call extends that
 /// prefix with the placement's concrete context list. With memoization
 /// disabled this is a zero-cost wrapper around [`predict`].
 pub struct PredictSession<'a> {
@@ -488,22 +463,41 @@ impl<'a> PredictSession<'a> {
 
     /// Predicts one placement, consulting the cache first.
     pub fn predict(&self, placement: &Placement) -> Result<Prediction, PandiaError> {
+        self.predict_with(placement, Prediction::clone)
+    }
+
+    /// Predicts one placement and returns what `read` takes from the
+    /// prediction, reading a cached prediction where it is stored instead
+    /// of copying it out. A miss stores the fresh prediction after `read`
+    /// has seen it.
+    pub fn predict_with<R>(
+        &self,
+        placement: &Placement,
+        read: impl FnOnce(&Prediction) -> R,
+    ) -> Result<R, PandiaError> {
         let Some(cache) = self.cache else {
-            return predict(self.machine, self.workload, placement, self.config);
+            return predict(self.machine, self.workload, placement, self.config).map(|p| read(&p));
         };
+        let key = self.key(placement);
+        if let Some(hit) = cache.lookup(key) {
+            if let Some(p) = hit.first() {
+                return Ok(read(p));
+            }
+        }
+        let prediction = predict(self.machine, self.workload, placement, self.config)?;
+        let out = read(&prediction);
+        cache.store(key, [prediction]);
+        Ok(out)
+    }
+
+    /// The cache key of one placement: the session prefix extended with
+    /// the placement's contexts.
+    fn key(&self, placement: &Placement) -> u128 {
         let mut fp = self.prefix;
         for ctx in placement.contexts() {
             fp.write_usize(ctx.0);
         }
-        let key = fp.key();
-        if let Some(mut hit) = cache.lookup(key) {
-            if let Some(p) = hit.pop() {
-                return Ok(p);
-            }
-        }
-        let prediction = predict(self.machine, self.workload, placement, self.config)?;
-        cache.store(key, vec![prediction.clone()]);
-        Ok(prediction)
+        fp.key()
     }
 }
 
@@ -562,10 +556,10 @@ impl<'a> JointSession<'a> {
         }
         let key = fp.key();
         if let Some(hit) = cache.lookup(key) {
-            return Ok(hit);
+            return Ok(hit.to_vec());
         }
         let predictions = predict_jobs(self.machine, jobs, self.config)?;
-        cache.store(key, predictions.clone());
+        cache.store(key, predictions.as_slice());
         Ok(predictions)
     }
 }
@@ -696,11 +690,7 @@ mod tests {
         let mut keys = Vec::new();
         for (w, c, p) in [(&w1, &c1, &p1), (&w2, &c1, &p1), (&w1, &c2, &p1), (&w1, &c1, &p2)] {
             let session = PredictSession::new(&exec, &m, w, c).unwrap();
-            let mut fp = session.prefix;
-            for ctx in p.contexts() {
-                fp.write_usize(ctx.0);
-            }
-            keys.push(fp.key());
+            keys.push(session.key(p));
         }
         for i in 0..keys.len() {
             for j in (i + 1)..keys.len() {

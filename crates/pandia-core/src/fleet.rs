@@ -26,7 +26,7 @@
 //! directly checkable: it re-runs every occupied machine fresh on every
 //! event and must produce byte-identical [`FleetSchedule`]s.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pandia_topology::Placement;
 use serde::{Deserialize, Serialize};
@@ -36,6 +36,7 @@ use crate::{
     description::MachineDescription,
     error::PandiaError,
     exec::ExecContext,
+    memo::LruMemo,
     workload_desc::WorkloadDescription,
 };
 
@@ -244,74 +245,11 @@ pub struct FleetStats {
 /// would otherwise grow the memo without bound.
 pub const DEFAULT_MEMO_CAPACITY: usize = 512;
 
-/// One memoized machine co-schedule plus its last-touched stamp.
-#[derive(Debug)]
-struct MemoEntry {
-    schedule: CoSchedule,
-    stamp: u64,
-}
-
-/// A bounded LRU memo of machine co-schedules keyed by
+/// A bounded LRU memo of shared machine co-schedules keyed by
 /// `(machine, resident class set)`. Eviction discards memoized work
 /// only — [`CoScheduler`] is pure, so a re-solve after eviction is
 /// bit-identical to the evicted answer.
-#[derive(Debug)]
-struct SolveMemo {
-    entries: BTreeMap<SolveKey, MemoEntry>,
-    /// Monotonic recency clock.
-    tick: u64,
-    capacity: usize,
-}
-
-impl SolveMemo {
-    fn new(capacity: usize) -> Self {
-        Self { entries: BTreeMap::new(), tick: 0, capacity: capacity.max(1) }
-    }
-
-    /// Recalls a memoized schedule, refreshing its recency stamp.
-    fn get(&mut self, key: &SolveKey) -> Option<&CoSchedule> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|entry| {
-            entry.stamp = tick;
-            &entry.schedule
-        })
-    }
-
-    /// Inserts a schedule, evicting least-recently-used entries while
-    /// over capacity. Returns how many entries were evicted.
-    fn insert(&mut self, key: SolveKey, schedule: CoSchedule) -> u64 {
-        self.tick += 1;
-        self.entries.insert(key, MemoEntry { schedule, stamp: self.tick });
-        self.evict_to(self.capacity)
-    }
-
-    /// Shrinks (or grows) the capacity bound, evicting down to it.
-    /// Returns how many entries were evicted.
-    fn set_capacity(&mut self, capacity: usize) -> u64 {
-        self.capacity = capacity.max(1);
-        self.evict_to(self.capacity)
-    }
-
-    /// Evicts LRU entries until at most `cap` remain. BTreeMap order
-    /// breaks stamp ties deterministically.
-    fn evict_to(&mut self, cap: usize) -> u64 {
-        let mut evicted = 0;
-        while self.entries.len() > cap {
-            let Some(victim) =
-                self.entries.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.entries.remove(&victim);
-            evicted += 1;
-        }
-        if evicted > 0 {
-            pandia_obs::count("fleet.memo_evictions", evicted);
-        }
-        evicted
-    }
-}
+type SolveMemo = LruMemo<SolveKey, Arc<CoSchedule>>;
 
 /// The placement an [`IncrementalFleet::admit`] call decided on.
 #[derive(Debug, Clone, PartialEq)]
@@ -370,9 +308,12 @@ pub struct IncrementalFleet {
     jobs: Vec<Option<FleetJob>>,
     /// Resident slots per machine, in arrival order.
     residents: Vec<Vec<usize>>,
-    /// The current co-schedule per machine (`None` when idle).
-    current: Vec<Option<CoSchedule>>,
+    /// The current co-schedule per machine (`None` when idle), shared
+    /// with the memo entry it was answered from.
+    current: Vec<Option<Arc<CoSchedule>>>,
     memo: SolveMemo,
+    /// The memo's entry budget (at least 1).
+    memo_capacity: usize,
     stats: FleetStats,
 }
 
@@ -395,7 +336,8 @@ impl IncrementalFleet {
             jobs: Vec::new(),
             residents: vec![Vec::new(); n],
             current: vec![None; n],
-            memo: SolveMemo::new(DEFAULT_MEMO_CAPACITY),
+            memo: SolveMemo::new(),
+            memo_capacity: DEFAULT_MEMO_CAPACITY,
             stats: FleetStats::default(),
         })
     }
@@ -410,17 +352,28 @@ impl IncrementalFleet {
     /// it under overload), evicting least-recently-used entries down to
     /// the new bound.
     pub fn set_memo_capacity(&mut self, capacity: usize) {
-        self.stats.memo_evictions += self.memo.set_capacity(capacity);
+        self.memo_capacity = capacity.max(1);
+        let evicted = self.memo.evict_to(self.memo_capacity);
+        Self::count_evictions(&mut self.stats, evicted);
+    }
+
+    /// Adds memo evictions to the stats and the `fleet.memo_evictions`
+    /// telemetry counter.
+    fn count_evictions(stats: &mut FleetStats, evicted: u64) {
+        if evicted > 0 {
+            stats.memo_evictions += evicted;
+            pandia_obs::count("fleet.memo_evictions", evicted);
+        }
     }
 
     /// The memo's current entry budget.
     pub fn memo_capacity(&self) -> usize {
-        self.memo.capacity
+        self.memo_capacity
     }
 
     /// Number of entries currently memoized.
     pub fn memo_len(&self) -> usize {
-        self.memo.entries.len()
+        self.memo.len()
     }
 
     /// Sets the execution context used for co-schedule searches. Results
@@ -468,7 +421,7 @@ impl IncrementalFleet {
     /// after a reprofile invalidates what the fleet believed about a
     /// machine's residents.
     pub fn invalidate_machine(&mut self, machine_index: usize) {
-        self.memo.entries.retain(|(m, _), _| *m != machine_index);
+        self.memo.retain(|(m, _)| *m != machine_index);
         pandia_obs::count("fleet.invalidations", 1);
     }
 
@@ -482,28 +435,33 @@ impl IncrementalFleet {
         exec: &ExecContext,
         incremental: bool,
         memo: &mut SolveMemo,
+        memo_capacity: usize,
         stats: &mut FleetStats,
-        key: Vec<String>,
+        classes: Vec<String>,
         descs: &[&WorkloadDescription],
-    ) -> Result<CoSchedule, PandiaError> {
+    ) -> Result<Arc<CoSchedule>, PandiaError> {
+        let key = (machine_index, classes);
         if incremental {
-            if let Some(hit) = memo.get(&(machine_index, key.clone())) {
+            if let Some(hit) = memo.get(&key) {
                 stats.resolves_skipped += 1;
                 pandia_obs::count("fleet.resolves_skipped", 1);
-                return Ok(hit.clone());
+                return Ok(Arc::clone(hit));
             }
         }
         let _span = pandia_obs::span("fleet", "solve_machine")
             .arg("machine", machine_index)
             .arg("jobs", descs.len());
-        let schedule = CoScheduler::new(machine)
-            .with_objective(Objective::Makespan)
-            .with_exec(exec.clone())
-            .schedule(descs)?;
+        let schedule = Arc::new(
+            CoScheduler::new(machine)
+                .with_objective(Objective::Makespan)
+                .with_exec(exec.clone())
+                .schedule(descs)?,
+        );
         stats.resolves += 1;
         pandia_obs::count("fleet.resolves", 1);
         if incremental {
-            stats.memo_evictions += memo.insert((machine_index, key), schedule.clone());
+            memo.insert(key, Arc::clone(&schedule));
+            Self::count_evictions(stats, memo.evict_to(memo_capacity));
         }
         Ok(schedule)
     }
@@ -550,6 +508,7 @@ impl IncrementalFleet {
                 &self.exec,
                 self.incremental,
                 &mut self.memo,
+                self.memo_capacity,
                 &mut self.stats,
                 key,
                 &descs,
@@ -582,9 +541,9 @@ impl IncrementalFleet {
         let makespans: Vec<f64> = self
             .current
             .iter()
-            .map(|c| c.as_ref().map(makespan_of).unwrap_or(0.0))
+            .map(|c| c.as_deref().map(makespan_of).unwrap_or(0.0))
             .collect();
-        let mut best: Option<(usize, CoSchedule, f64)> = None;
+        let mut best: Option<(usize, Arc<CoSchedule>, f64)> = None;
         for (m, description) in descriptions.iter().enumerate() {
             if self.residents[m].len() >= MAX_JOBS_PER_MACHINE {
                 continue;
@@ -601,6 +560,7 @@ impl IncrementalFleet {
                 &self.exec,
                 self.incremental,
                 &mut self.memo,
+                self.memo_capacity,
                 &mut self.stats,
                 key,
                 &descs,
@@ -729,7 +689,8 @@ impl IncrementalFleet {
             });
             placements.push(schedule.placements[idx].clone());
         }
-        let makespan = self.current.iter().flatten().map(makespan_of).fold(0.0_f64, f64::max);
+        let makespan =
+            self.current.iter().flatten().map(|s| makespan_of(s)).fold(0.0_f64, f64::max);
         Ok(FleetSchedule { assignments, makespan, placements })
     }
 }

@@ -38,6 +38,7 @@ pub mod error;
 pub mod exec;
 pub mod fleet;
 pub mod machine_gen;
+mod memo;
 pub mod online;
 pub mod planner;
 pub mod predictor;

@@ -57,6 +57,64 @@ impl PlacementReport {
     }
 }
 
+/// What a search reads from one candidate's prediction.
+#[derive(Clone, Copy)]
+struct Score {
+    n_threads: usize,
+    speedup: f64,
+    predicted_time: f64,
+}
+
+impl Score {
+    fn outcome(self, placement: &CanonicalPlacement) -> PlacementOutcome {
+        PlacementOutcome {
+            placement: placement.clone(),
+            n_threads: self.n_threads,
+            speedup: self.speedup,
+            predicted_time: self.predicted_time,
+        }
+    }
+}
+
+/// The index of the highest speedup: the last of equal maxima, as
+/// [`PlacementReport::best`] picks.
+fn best_index(scores: &[Score]) -> Option<usize> {
+    (0..scores.len()).max_by(|&a, &b| scores[a].speedup.total_cmp(&scores[b].speedup))
+}
+
+/// Predicts every candidate, fanning the evaluations across the
+/// context's workers and memoizing through its cache, and reads each
+/// prediction's [`Score`] where it is stored.
+///
+/// The scores are bit-identical regardless of the worker count: they
+/// keep the input order, and each prediction is a pure function of the
+/// sweep inputs.
+fn score_candidates(
+    exec: &ExecContext,
+    machine: &MachineDescription,
+    workload: &WorkloadDescription,
+    candidates: &[CanonicalPlacement],
+    config: &PredictorConfig,
+) -> Result<Vec<Score>, PandiaError> {
+    let session = PredictSession::new(exec, machine, workload, config)?;
+    // Thread count is the dominant cost driver of a prediction (entity
+    // count sizes every equilibrium solve), so it steers the chunk plan.
+    exec.parallel_map_sized(
+        candidates,
+        |c| c.total_threads() as f64,
+        |c| {
+            let placement = c.instantiate(machine)?;
+            session.predict_with(&placement, |p| Score {
+                n_threads: p.n_threads,
+                speedup: p.speedup,
+                predicted_time: p.predicted_time,
+            })
+        },
+    )
+    .into_iter()
+    .collect()
+}
+
 /// Evaluates the predictor over a set of candidate placements.
 ///
 /// Serial convenience for [`placement_report_with`] under
@@ -87,27 +145,8 @@ pub fn placement_report_with(
     let _span = pandia_obs::span("search", "placement_report")
         .arg("workload", workload.name.as_str())
         .arg("candidates", candidates.len());
-    let session = PredictSession::new(exec, machine, workload, config)?;
-    // Thread count is the dominant cost driver of a prediction (entity
-    // count sizes every equilibrium solve), so it steers the chunk plan.
-    let evaluated = exec.parallel_map_sized(
-        candidates,
-        |c| c.total_threads() as f64,
-        |c| -> Result<PlacementOutcome, PandiaError> {
-            let placement = c.instantiate(machine)?;
-            let pred = session.predict(&placement)?;
-            Ok(PlacementOutcome {
-                placement: c.clone(),
-                n_threads: pred.n_threads,
-                speedup: pred.speedup,
-                predicted_time: pred.predicted_time,
-            })
-        },
-    );
-    let mut outcomes = Vec::with_capacity(evaluated.len());
-    for outcome in evaluated {
-        outcomes.push(outcome?);
-    }
+    let scores = score_candidates(exec, machine, workload, candidates, config)?;
+    let outcomes = scores.iter().zip(candidates).map(|(s, c)| s.outcome(c)).collect();
     Ok(PlacementReport { outcomes })
 }
 
@@ -132,10 +171,11 @@ pub fn best_placement_with(
     let _span = pandia_obs::span("search", "best_placement")
         .arg("workload", workload.name.as_str())
         .arg("candidates", candidates.len());
-    let report = placement_report_with(exec, machine, workload, candidates, config)?;
-    report.best().cloned().ok_or(PandiaError::Mismatch {
+    let scores = score_candidates(exec, machine, workload, candidates, config)?;
+    let best = best_index(&scores).ok_or(PandiaError::Mismatch {
         reason: "no candidate placements supplied".into(),
-    })
+    })?;
+    Ok(scores[best].outcome(&candidates[best]))
 }
 
 /// High-level recommendations derived from a placement report (§1's
@@ -179,15 +219,20 @@ impl Recommendation {
         let _span = pandia_obs::span("search", "analyze")
             .arg("workload", workload.name.as_str())
             .arg("candidates", candidates.len());
-        let report = placement_report_with(exec, machine, workload, candidates, config)?;
-        let best = report
-            .best()
-            .cloned()
+        let scores = score_candidates(exec, machine, workload, candidates, config)?;
+        let best = best_index(&scores)
             .ok_or(PandiaError::Mismatch { reason: "no candidate placements".into() })?;
+        // The smallest placement within tolerance: the first of equal
+        // minima, as `PlacementReport::resource_saving` picks.
+        let floor = tolerance * scores[best].speedup;
+        let saving = (0..scores.len())
+            .filter(|&i| scores[i].speedup >= floor)
+            .min_by_key(|&i| (scores[i].n_threads, candidates[i].cores_used()));
+        let best = scores[best].outcome(&candidates[best]);
         let use_multiple_sockets = best.placement.sockets_used() > 1;
         let use_smt =
             best.placement.sockets.iter().flat_map(|s| s.iter()).any(|&occ| occ >= 2);
-        let resource_saving = report.resource_saving(tolerance).cloned();
+        let resource_saving = saving.map(|i| scores[i].outcome(&candidates[i]));
         Ok(Self { best, use_multiple_sockets, use_smt, resource_saving, tolerance })
     }
 }

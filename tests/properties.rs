@@ -289,6 +289,90 @@ fn placement_report_is_identical_across_jobs_and_cache() {
     }
 }
 
+/// The recommendation `Recommendation::analyze` must equal, assembled
+/// from the full report through `PlacementReport::best` and
+/// `PlacementReport::resource_saving`.
+fn recommendation_from_report(report: &PlacementReport, tolerance: f64) -> Recommendation {
+    let best = report.best().unwrap().clone();
+    Recommendation {
+        use_multiple_sockets: best.placement.sockets_used() > 1,
+        use_smt: best.placement.sockets.iter().flatten().any(|&occ| occ >= 2),
+        resource_saving: report.resource_saving(tolerance).cloned(),
+        best,
+        tolerance,
+    }
+}
+
+#[test]
+fn recommendation_is_identical_across_jobs_and_cache() {
+    let mut ctx = MachineContext::x3_2().unwrap();
+    let candidates = ctx.enumerator().sampled(&ctx.spec, 4);
+    let config = PredictorConfig::default();
+    let tolerance = 0.95;
+    let (mut best_ties, mut saving_ties) = (0, 0);
+    for (i, wd) in equivalence_workloads(&mut ctx, 8000).iter().enumerate() {
+        // A fully serial variant predicts the same speedup for every
+        // placement, so the pick among equal maxima shows in the result.
+        let mut serial_only = wd.clone();
+        serial_only.parallel_fraction = 0.0;
+        for (variant, wd) in [("as profiled", wd), ("serial", &serial_only)] {
+            let report = placement_report(&ctx.description, wd, &candidates, &config).unwrap();
+            let expected = recommendation_from_report(&report, tolerance);
+            let o = &report.outcomes;
+            best_ties += o.iter().filter(|x| x.speedup == expected.best.speedup).count() - 1;
+            if let Some(rs) = &expected.resource_saving {
+                let size = |x: &PlacementOutcome| (x.n_threads, x.placement.cores_used());
+                let floor = tolerance * expected.best.speedup;
+                saving_ties +=
+                    o.iter().filter(|x| x.speedup >= floor && size(x) == size(rs)).count() - 1;
+            }
+            let serial =
+                Recommendation::analyze(&ctx.description, wd, &candidates, tolerance, &config)
+                    .unwrap();
+            assert_eq!(serial, expected, "workload {i} ({variant}): analyze vs report");
+            let expected_json = serde_json::to_string(&expected).unwrap();
+            for jobs in [1, 4] {
+                let exec = ExecContext::new(jobs);
+                for pass in ["cold", "warm"] {
+                    let rec = Recommendation::analyze_with(
+                        &exec,
+                        &ctx.description,
+                        wd,
+                        &candidates,
+                        tolerance,
+                        &config,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        serde_json::to_string(&rec).unwrap(),
+                        expected_json,
+                        "workload {i} ({variant}), jobs={jobs}, {pass} cache"
+                    );
+                }
+                assert!(exec.cache_stats().hits >= candidates.len() as u64, "workload {i}");
+                let uncached = ExecContext::new(jobs).with_cache(false);
+                let rec = Recommendation::analyze_with(
+                    &uncached,
+                    &ctx.description,
+                    wd,
+                    &candidates,
+                    tolerance,
+                    &config,
+                )
+                .unwrap();
+                assert_eq!(
+                    serde_json::to_string(&rec).unwrap(),
+                    expected_json,
+                    "workload {i} ({variant}), jobs={jobs}, no cache"
+                );
+            }
+        }
+    }
+    // Both tie-breaks must have been exercised, not just agreed on.
+    assert!(best_ties > 0, "no equal maxima among the best speedups");
+    assert!(saving_ties > 0, "no equal minima among the resource-saving sizes");
+}
+
 #[test]
 fn scaling_profile_and_plan_are_identical_across_jobs() {
     let mut ctx = MachineContext::x3_2().unwrap();
