@@ -1,12 +1,13 @@
 //! Parallel placement evaluation with a memoizing prediction cache.
 //!
 //! The paper's search-based use cases (§1, §6.1) evaluate the predictor
-//! over *sets* of candidate placements: the best-placement search, the
-//! capacity planner's trade-off curves, and the co-scheduler's joint
-//! template sweep. Each evaluation is independent and pure — a
-//! prediction depends only on the machine description, the workload
-//! description, the concrete placement, and the predictor tunables — so
-//! the sweep is embarrassingly parallel and memoizable.
+//! over *sets* of candidate placements: the best-placement search and
+//! the capacity planner's trade-off curves. Each evaluation is
+//! independent and pure — a prediction depends only on the machine
+//! description, the workload description, the concrete placement, and
+//! the predictor tunables — so the sweep is embarrassingly parallel and
+//! memoizable. The co-scheduler's branch and bound walks its candidates
+//! in one sequence and uses only the cache.
 //!
 //! This module provides both pieces:
 //!

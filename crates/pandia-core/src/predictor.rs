@@ -209,8 +209,7 @@ pub fn predict_jobs(
             routes.push(route);
             sockets.push(shape.socket_of_ctx(ctx).0);
         }
-        let p = workload.parallel_fraction;
-        let amdahl = 1.0 / ((1.0 - p) + p / n as f64);
+        let amdahl = amdahl_speedup(workload.parallel_fraction, n);
         job_ctx.push(JobCtx {
             l: workload.load_balance,
             b: workload.burstiness,
@@ -393,6 +392,13 @@ pub fn predict_jobs(
         });
     }
     Ok(results)
+}
+
+/// Amdahl's-law speedup of `n_threads` threads at parallel fraction
+/// `parallel_fraction`: the speedup a prediction reaches when no thread
+/// is slowed down, and so the most any prediction reaches.
+pub(crate) fn amdahl_speedup(parallel_fraction: f64, n_threads: usize) -> f64 {
+    1.0 / ((1.0 - parallel_fraction) + parallel_fraction / n_threads as f64)
 }
 
 #[cfg(test)]

@@ -66,60 +66,82 @@ impl Event {
 
     /// Renders the event as one JSONL line (no trailing newline).
     pub fn render(&self) -> String {
+        let mut out = String::new();
         match self {
             Event::Submit { job, class, priority } => {
+                out.push_str("{\"event\":\"submit\",\"job\":");
+                json_string(&mut out, job);
+                out.push_str(",\"class\":");
+                json_string(&mut out, class);
                 // Priority 0 is omitted so logs written before the field
                 // existed render (and re-render) byte-identically.
-                if *priority == 0 {
-                    format!(
-                        "{{\"event\":\"submit\",\"job\":{},\"class\":{}}}",
-                        json_string(job),
-                        json_string(class)
-                    )
-                } else {
-                    format!(
-                        "{{\"event\":\"submit\",\"job\":{},\"class\":{},\"priority\":{priority}}}",
-                        json_string(job),
-                        json_string(class)
-                    )
+                if *priority != 0 {
+                    out.push_str(",\"priority\":");
+                    out.push_str(&priority.to_string());
                 }
             }
-            Event::Complete { job, elapsed } => match elapsed {
-                Some(t) => format!(
-                    "{{\"event\":\"complete\",\"job\":{},\"elapsed\":{}}}",
-                    json_string(job),
-                    format_f64(*t)
-                ),
-                None => {
-                    format!("{{\"event\":\"complete\",\"job\":{}}}", json_string(job))
+            Event::Complete { job, elapsed } => {
+                out.push_str("{\"event\":\"complete\",\"job\":");
+                json_string(&mut out, job);
+                if let Some(t) = elapsed {
+                    out.push_str(",\"elapsed\":");
+                    out.push_str(&format_f64(*t));
                 }
-            },
+            }
             Event::Fail { job } => {
-                format!("{{\"event\":\"fail\",\"job\":{}}}", json_string(job))
+                out.push_str("{\"event\":\"fail\",\"job\":");
+                json_string(&mut out, job);
             }
-            Event::Query => "{\"event\":\"query\"}".to_string(),
+            Event::Query => out.push_str("{\"event\":\"query\""),
         }
+        out.push('}');
+        out
     }
 }
 
-/// JSON string escaping for the tiny subset of strings job names and
-/// classes use (quotes, backslashes, control characters).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The bytes [`json_string`] escapes: `"`, `\` and the controls below
+/// 0x20. All are ASCII, so the runs between them are whole UTF-8.
+const NEEDS_ESCAPE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
     }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// Appends `s` to `out` as a JSON string literal, escaping quotes,
+/// backslashes and control characters. Each run of bytes that needs no
+/// escape is copied with one `push_str`.
+pub(crate) fn json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    out
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !NEEDS_ESCAPE[usize::from(b)] {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Renders an `f64` so it round-trips through `serde_json` bit-exactly
@@ -232,6 +254,65 @@ pub fn parse_log(text: &str) -> Result<Vec<Event>, PandiaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The char-by-char escaper [`json_string`] replaced, kept as its
+    /// reference.
+    fn json_string_reference(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn json_string_matches_the_char_by_char_reference() {
+        // Every control byte, both escaped punctuation marks, bytes next
+        // to the escaped ranges, and one- to four-byte UTF-8.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', ' ', '/', '!', '#', '[', ']', 'a', '~', '\u{7f}']);
+        alphabet.extend(['\u{80}', '\u{a0}', 'é', 'ÿ', 'Ω', '\u{2028}', '€', '\u{ffff}', '😀']);
+        let mut state = 0x0E5C_A9E5u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let mut inputs: Vec<String> = alphabet.iter().map(|c| c.to_string()).collect();
+        inputs.push(alphabet.iter().collect());
+        inputs.push(String::new());
+        for _ in 0..4000 {
+            let len = next() % 48;
+            // Long clean runs and dense escapes both: draw plain letters
+            // half the time.
+            let s = (0..len)
+                .map(|_| if next() % 2 == 0 { 'x' } else { alphabet[next() % alphabet.len()] })
+                .collect();
+            inputs.push(s);
+        }
+        let mut buf = String::from("prefix:");
+        for s in &inputs {
+            let mut out = String::new();
+            json_string(&mut out, s);
+            assert_eq!(out, json_string_reference(s), "{s:?}");
+            // Appending keeps what the buffer held.
+            buf.truncate("prefix:".len());
+            json_string(&mut buf, s);
+            assert_eq!(buf, format!("prefix:{out}"));
+        }
+    }
 
     #[test]
     fn log_round_trips_through_render_and_parse() {

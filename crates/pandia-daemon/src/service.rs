@@ -833,11 +833,14 @@ impl Daemon {
             queue.join(",")
         );
         for job in &self.jobs {
-            let mut line = format!(
-                "{{\"job\":{},\"class\":{},\"status\":\"{}\",\"attempts\":{},\
-                 \"priority\":{},\"enqueued_at\":{},\"not_before\":{}",
-                json_string(&job.name),
-                json_string(&job.class),
+            out.push_str("{\"job\":");
+            json_string(&mut out, &job.name);
+            out.push_str(",\"class\":");
+            json_string(&mut out, &job.class);
+            let _ = write!(
+                out,
+                ",\"status\":\"{}\",\"attempts\":{},\"priority\":{},\"enqueued_at\":{},\
+                 \"not_before\":{}",
                 job.status.tag(),
                 job.attempts,
                 job.priority,
@@ -845,21 +848,23 @@ impl Daemon {
                 job.not_before
             );
             if let Some(slot) = job.slot {
-                let _ = write!(line, ",\"slot\":{slot}");
+                let _ = write!(out, ",\"slot\":{slot}");
             }
             if let Some(machine) = job.machine {
-                let _ = write!(line, ",\"machine\":{machine}");
+                let _ = write!(out, ",\"machine\":{machine}");
             }
             if let Some(t) = job.predicted_time {
                 // Bit pattern, not decimal: predictions must survive the
                 // round trip exactly or post-recovery drift checks skew.
-                let _ = write!(line, ",\"predicted_bits\":{}", t.to_bits());
+                let _ = write!(out, ",\"predicted_bits\":{}", t.to_bits());
             }
-            line.push('}');
-            out.push_str(&line);
-            out.push('\n');
+            out.push_str("}\n");
         }
-        let _ = writeln!(out, "{{\"transcript\":{}}}", json_string(&self.transcript));
+        // The transcript is escaped straight into the document: it is
+        // most of a checkpoint's bytes, so no copy of it is built.
+        out.push_str("{\"transcript\":");
+        json_string(&mut out, &self.transcript);
+        out.push_str("}\n");
         out
     }
 
