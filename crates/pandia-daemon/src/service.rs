@@ -365,11 +365,10 @@ impl Daemon {
             Event::Fail { job } => self.on_fail(job)?,
             Event::Query => self.on_query()?,
         }
-        // A per-event dispatch pass so backoff-delayed jobs whose
-        // `not_before` just expired get retried even when the event
-        // itself (e.g. a query) moved no fleet state. Without backoff in
-        // play this is a no-op: jobs only wait in the queue while the
-        // fleet is out of capacity.
+        // One dispatch pass per event, at the event's clock: it places
+        // what a submission queued or a departure freed room for, and
+        // retries backoff-delayed jobs whose `not_before` just expired
+        // even when the event itself (e.g. a query) moved no fleet state.
         self.dispatch()?;
         self.update_overload_mode();
         self.shed()?;
@@ -424,7 +423,7 @@ impl Daemon {
         pandia_obs::count("daemon.submitted", 1);
         self.audit.submitted += 1;
         self.say(&format!("submit {job} class={class} -> queued"));
-        self.dispatch()
+        Ok(())
     }
 
     fn on_complete(&mut self, job: &str, elapsed: Option<f64>) -> Result<(), PandiaError> {
@@ -454,7 +453,7 @@ impl Daemon {
                 self.say(&format!("complete {job} ignored (already {})", status.tag()));
             }
         }
-        self.dispatch()
+        Ok(())
     }
 
     fn on_fail(&mut self, job: &str) -> Result<(), PandiaError> {
@@ -494,7 +493,7 @@ impl Daemon {
                 self.say(&format!("fail {job} ignored (already {})", status.tag()));
             }
         }
-        self.dispatch()
+        Ok(())
     }
 
     fn on_query(&mut self) -> Result<(), PandiaError> {
@@ -882,11 +881,20 @@ impl Daemon {
     ) -> Result<Self, PandiaError> {
         use crate::event::{field, str_field};
         let bad = |message: String| PandiaError::Serde { message };
-        let uint = |value: &serde_json::Value, key: &str, line: usize| {
-            field(value, key).and_then(|v| v.as_u64()).ok_or_else(|| PandiaError::Serde {
-                message: format!("checkpoint line {line}: missing integer field '{key}'"),
+        /// An integer field that must fit its target type.
+        fn uint<T: TryFrom<u64>>(
+            value: &serde_json::Value,
+            key: &str,
+            line: usize,
+        ) -> Result<T, PandiaError> {
+            let n =
+                field(value, key).and_then(|v| v.as_u64()).ok_or_else(|| PandiaError::Serde {
+                    message: format!("checkpoint line {line}: missing integer field '{key}'"),
+                })?;
+            T::try_from(n).map_err(|_| PandiaError::Serde {
+                message: format!("checkpoint line {line}: field '{key}' out of range: {n}"),
             })
-        };
+        }
 
         let mut daemon = Daemon::new(machines, catalog, config)?;
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
@@ -929,7 +937,7 @@ impl Daemon {
             rejected: uint(&meta, "rejected", line)?,
             shed: uint(&meta, "shed", line)?,
         };
-        daemon.reprofiles_done = uint(&meta, "reprofiles_done", line)? as usize;
+        daemon.reprofiles_done = uint(&meta, "reprofiles_done", line)?;
         let degraded = field(&meta, "degraded")
             .and_then(|v| v.as_bool())
             .ok_or_else(|| bad(format!("checkpoint line {line}: missing 'degraded'")))?;
@@ -943,17 +951,16 @@ impl Daemon {
                 daemon.drift_streak.len()
             )));
         }
+        let index = |v: &serde_json::Value| v.as_u64().and_then(|n| usize::try_from(n).ok());
         for (i, s) in streaks.iter().enumerate() {
-            daemon.drift_streak[i] = s
-                .as_u64()
-                .ok_or_else(|| bad(format!("checkpoint line {line}: bad drift streak")))?
-                as usize;
+            daemon.drift_streak[i] =
+                index(s).ok_or_else(|| bad(format!("checkpoint line {line}: bad drift streak")))?;
         }
         let queue_ids: Vec<usize> = field(&meta, "queue")
             .and_then(|v| v.as_array())
             .ok_or_else(|| bad(format!("checkpoint line {line}: missing 'queue'")))?
             .iter()
-            .map(|v| v.as_u64().map(|n| n as usize))
+            .map(index)
             .collect::<Option<Vec<usize>>>()
             .ok_or_else(|| bad(format!("checkpoint line {line}: bad queue id")))?;
 
@@ -981,28 +988,45 @@ impl Daemon {
                 .ok_or_else(|| bad(format!("checkpoint line {line}: bad status '{status}'")))?;
             let mut record = JobRecord::new(&name, &class);
             record.status = status;
-            record.attempts = uint(&value, "attempts", line)? as u32;
-            record.priority = uint(&value, "priority", line)? as u8;
+            record.attempts = uint(&value, "attempts", line)?;
+            record.priority = uint(&value, "priority", line)?;
             record.enqueued_at = uint(&value, "enqueued_at", line)?;
             record.not_before = uint(&value, "not_before", line)?;
-            record.machine = field(&value, "machine").and_then(|v| v.as_u64()).map(|m| m as usize);
+            if field(&value, "machine").is_some() {
+                record.machine = Some(uint(&value, "machine", line)?);
+            }
             record.predicted_time =
                 field(&value, "predicted_bits").and_then(|v| v.as_u64()).map(f64::from_bits);
             let id = daemon.jobs.len();
             if status == JobStatus::Running {
-                let slot = uint(&value, "slot", line)? as usize;
-                old_slots.push((slot, id));
+                old_slots.push((uint(&value, "slot", line)?, id));
             }
-            daemon.index.insert(name, id);
+            if daemon.index.insert(name, id).is_some() {
+                return Err(bad(format!(
+                    "checkpoint line {line}: duplicate job '{}'",
+                    record.name
+                )));
+            }
             daemon.jobs.push(record);
         }
         let transcript =
             transcript.ok_or_else(|| bad("checkpoint has no transcript line".into()))?;
 
+        // The queue must list every queued job exactly once: a repeat
+        // would place the job twice, an omission would strand it.
+        let mut listed = vec![false; daemon.jobs.len()];
         for &id in &queue_ids {
             if id >= daemon.jobs.len() || daemon.jobs[id].status != JobStatus::Queued {
                 return Err(bad(format!("checkpoint queue names non-queued job id {id}")));
             }
+            if std::mem::replace(&mut listed[id], true) {
+                return Err(bad(format!("checkpoint queue lists job id {id} twice")));
+            }
+        }
+        let stranded =
+            daemon.jobs.iter().zip(&listed).find(|&(j, &l)| !l && j.status == JobStatus::Queued);
+        if let Some((job, _)) = stranded {
+            return Err(bad(format!("checkpoint queue omits queued job '{}'", job.name)));
         }
         daemon.queue = queue_ids.into();
 
@@ -1355,6 +1379,37 @@ mod tests {
                     \"drift_streak\":[0,0],\"queue\":[]}\n\
                    {\"transcript\":\"\"}\n";
         assert!(Daemon::restore(m, c, cfg, bad).is_err());
+
+        // A real checkpoint of seven jobs on six slots: j0–j5 run, j6
+        // (job id 6) waits in the queue.
+        let (m, c, cfg) = mk();
+        let mut d = Daemon::new(m, c, cfg).unwrap();
+        for i in 0..7 {
+            d.apply(&submit(&format!("j{i}"), "cpu", 1)).unwrap();
+        }
+        let good = d.checkpoint();
+        assert!(good.contains("\"queue\":[6]"), "{good}");
+        let (m, c, cfg) = mk();
+        assert!(Daemon::restore(m, c, cfg, &good).is_ok());
+        let corrupt = [
+            // Integers that do not fit their fields, instead of truncating.
+            (good.replacen("\"priority\":1", "\"priority\":300", 1), "out of range"),
+            (good.replacen("\"attempts\":1", "\"attempts\":4294967297", 1), "out of range"),
+            // A queued job listed twice would be placed twice.
+            (good.replace("\"queue\":[6]", "\"queue\":[6,6]"), "twice"),
+            // A queued job missing from the queue would never dispatch.
+            (good.replace("\"queue\":[6]", "\"queue\":[]"), "omits queued job 'j6'"),
+            // Two records under one name.
+            (good.replace("{\"job\":\"j6\"", "{\"job\":\"j5\""), "duplicate job 'j5'"),
+        ];
+        for (text, why) in &corrupt {
+            assert_ne!(*text, good, "{why}: the case must corrupt the document");
+            let (m, c, cfg) = mk();
+            match Daemon::restore(m, c, cfg, text) {
+                Err(PandiaError::Serde { message }) => assert!(message.contains(why), "{message}"),
+                other => panic!("{why}: expected a serde error, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

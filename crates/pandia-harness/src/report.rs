@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use pandia_core::PandiaError;
 
@@ -161,11 +161,6 @@ pub fn ascii_curve(curve: &PlacementCurve, width: usize, height: usize) -> Strin
     }
     let _ = writeln!(out, "+{}", "-".repeat(width));
     out
-}
-
-/// Ensures a directory exists (for binaries writing multiple files).
-pub fn ensure_dir(path: &Path) -> Result<(), PandiaError> {
-    fs::create_dir_all(path).map_err(io_err)
 }
 
 #[cfg(test)]

@@ -99,17 +99,6 @@ impl BurstProfile {
             self.low_multiplier()
         }
     }
-
-    /// True when [`Self::multiplier`] is the same for every draw, i.e. the
-    /// phase sequence cannot move this profile's demand between segments.
-    /// Full duty is smooth by definition; otherwise the high- and low-phase
-    /// multipliers must coincide exactly (bitwise — a smooth profile is
-    /// what lets the engine's segment memo replay a steady run from its
-    /// second segment on, since the memo key includes the multipliers).
-    pub fn is_smooth(&self) -> bool {
-        self.duty >= 1.0
-            || self.effective_amplitude().to_bits() == self.low_multiplier().to_bits()
-    }
 }
 
 /// How work is distributed across threads (paper §2.3, "load balancing").

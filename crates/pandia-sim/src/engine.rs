@@ -37,27 +37,28 @@ use crate::{
     trace::{RunTrace, TraceSegment},
 };
 
+/// Fraction of the remaining runtime covered by each segment (smaller =
+/// finer burst interleaving, slower simulation).
+const SEGMENT_FRACTION: f64 = 0.12;
+/// Minimum number of segments the bulk of a run is divided into. Burst
+/// phases are redrawn per segment, so this bounds the sampling error of
+/// bursty workloads' measured times and counters: segments are capped at
+/// `1/MIN_SEGMENTS` of the initial time-to-finish estimate, keeping them
+/// equal-length until the geometric tail.
+const MIN_SEGMENTS: usize = 150;
+/// Fixed-point rounds per segment for the lock-queue/communication
+/// feedback.
+const RELAXATION_ROUNDS: usize = 2;
+/// Lock utilization at which the queueing delay is clamped.
+const MAX_LOCK_RHO: f64 = 0.98;
+/// Hard cap on segments, as a runaway guard.
+const MAX_SEGMENTS: usize = 20_000;
+
 /// Tunables of the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Fraction of the remaining runtime covered by each segment (smaller
-    /// = finer burst interleaving, slower simulation).
-    pub segment_fraction: f64,
-    /// Minimum number of segments the bulk of the run is divided into.
-    /// Burst phases are redrawn per segment, so this bounds the sampling
-    /// error of bursty workloads' measured times and counters: segments
-    /// are capped at `1/min_segments` of the initial time-to-finish
-    /// estimate, keeping them equal-length until the geometric tail.
-    pub min_segments: usize,
-    /// Fixed-point rounds per segment for the lock-queue/communication
-    /// feedback.
-    pub relaxation_rounds: usize,
     /// Standard deviation of the multiplicative measurement noise.
     pub noise_sigma: f64,
-    /// Lock utilization at which the queueing delay is clamped.
-    pub max_lock_rho: f64,
-    /// Hard cap on segments, as a runaway guard.
-    pub max_segments: usize,
     /// Deterministic fault-injection schedule. The default plan injects
     /// nothing and is byte-identical to an engine without the fault layer;
     /// an armed plan also turns the segment memo off.
@@ -66,15 +67,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self {
-            segment_fraction: 0.12,
-            min_segments: 150,
-            relaxation_rounds: 2,
-            noise_sigma: 0.004,
-            max_lock_rho: 0.98,
-            max_segments: 20_000,
-            faults: FaultPlan::none(),
-        }
+        Self { noise_sigma: 0.004, faults: FaultPlan::none() }
     }
 }
 
@@ -86,15 +79,16 @@ pub struct SimStats {
     /// Segments replayed from the segment memo instead of being fully
     /// recomputed.
     pub segments_coalesced: u64,
-    /// Equilibrium solves that ran the progressive-filling loop (from
-    /// scratch or warm-started).
+    /// Equilibrium solves that built the solver state: the first
+    /// relaxation round of every fully computed segment, so this is
+    /// `segments - segments_coalesced`.
     pub solves: u64,
-    /// Equilibrium solves answered from the solver's input cache.
+    /// Later-round solves answered from the solver's cached allocation
+    /// (rate caps and capacities unchanged).
     pub solves_skipped: u64,
-    /// Equilibrium solves that reused the solver's entire pristine
-    /// contributor state — the batched fast path, where one prefix build
-    /// fans out across every solve sharing the same demand bundles (only
-    /// rate caps or capacities moved between them).
+    /// Later-round solves that reused the first round's pristine
+    /// contributor state — the batched fast path — and ran only the
+    /// filling loop because rate caps or capacities moved.
     pub solves_batched: u64,
 }
 
@@ -504,7 +498,7 @@ impl<'a> RunState<'a> {
         if remaining <= 0.0 || runnable.iter().all(|&i| !entities[i].is_worker()) {
             return false;
         }
-        self.segment < self.config.max_segments
+        self.segment < MAX_SEGMENTS
     }
 
     /// Closes the segment whose middle produced `seg`: picks its length,
@@ -533,18 +527,14 @@ impl<'a> RunState<'a> {
         // tail takes over; once a group's residue is negligible, close it
         // out exactly.
         if self.segment == 0 {
-            self.quantum = min_ttf / self.config.min_segments.max(1) as f64;
+            self.quantum = min_ttf / MIN_SEGMENTS as f64;
         }
         let closing = (0..groups.len()).any(|g| {
             group_remaining[g] > 0.0
                 && group_remaining[g] <= groups[g].total_work * 1e-3
                 && seg.group_rate[g] > 1e-12
         });
-        let dt = if closing {
-            min_ttf
-        } else {
-            (min_ttf * self.config.segment_fraction).min(self.quantum)
-        };
+        let dt = if closing { min_ttf } else { (min_ttf * SEGMENT_FRACTION).min(self.quantum) };
 
         if let Some(trace) = trace {
             trace.segments.push(TraceSegment {
@@ -805,7 +795,9 @@ impl SoaEntities {
 }
 
 /// Per-segment working buffers for the SoA middle, allocated on first use
-/// and reused across every subsequent segment of the run.
+/// and reused across every subsequent segment of the run. A computed
+/// middle writes each buffer before it reads it, so nothing carries over
+/// from one middle to the next.
 #[derive(Default)]
 struct SegScratch {
     active_cores: Vec<usize>,
@@ -826,13 +818,6 @@ struct SegScratch {
     /// Per-(socket, peer) communication weight for the current round,
     /// stride = runnable count.
     peer_weight: Vec<f64>,
-    /// Structural inputs of the last fully computed middle: the runnable
-    /// set and the burst multiplier bits. When both recur, the whole
-    /// prologue (DVFS → spill → interference → capacities → demands) is
-    /// still resident in the buffers above, bit for bit.
-    prev_runnable: Vec<usize>,
-    prev_multipliers: Vec<u64>,
-    structure_valid: bool,
     instr_demands: Vec<f64>,
     rho: Vec<f64>,
     queue_delay: Vec<f64>,
@@ -895,7 +880,7 @@ fn run_multi_impl(
     // A steady run (smooth profiles, stabilized rates) repeats one key
     // forever; a bursty run revisits its recurring phase patterns. Either
     // way replay is exact — the error bound of coalescing is zero — and
-    // the `min_segments` sampling guarantee is untouched because segment
+    // the `MIN_SEGMENTS` sampling guarantee is untouched because segment
     // boundaries, lengths, and per-segment bookkeeping are all preserved.
     // A fault plan disables coalescing outright: its per-segment gates are
     // observable state a replay must not skip.
@@ -994,253 +979,183 @@ fn run_multi_impl(
 
         let mut full_middle = || -> CachedSegment {
             let scratch = &mut seg_scratch;
+            // DVFS point from the cores that are actually busy.
+            scratch.core_occupancy.clear();
+            scratch.core_occupancy.resize(spec.total_cores(), 0);
+            for &i in runnable {
+                scratch.core_occupancy[soa.core[i]] += 1;
+            }
+            scratch.active_cores.clear();
+            scratch.active_cores.resize(spec.sockets, 0);
+            for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                if occ > 0 {
+                    scratch.active_cores[soa.core_home[c]] += 1;
+                }
+            }
+            scratch.dvfs.compute_into(
+                spec,
+                &scratch.active_cores,
+                inputs.turbo,
+                inputs.fill_background,
+            );
 
-            // Everything between here and the relaxation rounds is a
-            // pure function of (runnable set, multipliers): DVFS,
-            // spill, interference, capacities, and the demand bundles
-            // never read the relaxation warm start. When both match
-            // the previous *fully computed* middle bit for bit, those
-            // buffers still hold exactly the values a recompute would
-            // produce (memo replays touch none of them), so the whole
-            // prologue is skipped and only the rounds — whose warm
-            // start did change — run. This is the common shape of a
-            // memo miss: a steady structure whose rates are still
-            // converging.
-            let runnable_same = scratch.structure_valid && scratch.prev_runnable == *runnable;
-            let structure_same = runnable_same
-                && scratch
-                    .prev_multipliers
-                    .iter()
-                    .zip(&multipliers)
-                    .all(|(&p, m)| p == m.to_bits());
-            let nk = runnable.len();
-            // With the runnable set unchanged, the solver's longest
-            // compatible prefix is known without walking the demand
-            // bundles: a bundle moves exactly when its entity's
-            // multiplier bits moved AND the bundle carries
-            // multiplier-scaled entries (the lock term is unscaled,
-            // and the spill inputs are fixed by the runnable set).
-            // The old bundles still sit in `demands`; a positive old
-            // multiplier shows the scaled sparsity directly, while an
-            // exactly-0.0 low phase hides it — then the build's own
-            // positivity gates answer from the per-entity constants.
-            // Captured before the snapshot below overwrites the
-            // previous middle's bits.
-            let prefix_hint = if runnable_same && !structure_same {
-                Some(
-                    (0..nk)
-                        .find(|&k| {
-                            if scratch.prev_multipliers[k] == multipliers[k].to_bits() {
-                                return false;
-                            }
-                            let i = runnable[k];
-                            let lock = soa.is_worker[i] && soa.seq_fraction[i] > 0.0;
-                            if f64::from_bits(scratch.prev_multipliers[k]) > 0.0 {
-                                demands[k].demands.len() > lock as usize
-                            } else {
-                                soa.d_instr[i] > 0.0
-                                    || soa.d_l1[i] > 0.0
-                                    || soa.d_l2[i] > 0.0
-                                    || soa.d_l3[i] > 0.0
-                                    || (soa.d_dram[i] > 0.0
-                                        && (0..spec.sockets).any(|node| {
-                                            soa.dram_split[i * spec.sockets + node] > 0.0
-                                        }))
-                            }
-                        })
-                        .unwrap_or(nk),
-                )
-            } else {
-                None
-            };
-            if !structure_same {
-                // DVFS point from the cores that are actually busy.
-                scratch.core_occupancy.clear();
-                scratch.core_occupancy.resize(spec.total_cores(), 0);
-                for &i in runnable {
-                    scratch.core_occupancy[soa.core[i]] += 1;
-                }
-                scratch.active_cores.clear();
-                scratch.active_cores.resize(spec.sockets, 0);
-                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                    if occ > 0 {
-                        scratch.active_cores[soa.core_home[c]] += 1;
-                    }
-                }
-                scratch.dvfs.compute_into(
-                    spec,
-                    &scratch.active_cores,
-                    inputs.turbo,
-                    inputs.fill_background,
-                );
+            // Cache spill per socket from resident working sets, with
+            // the non-adaptive thrash amplification folded in.
+            scratch.socket_ws.clear();
+            scratch.socket_ws.resize(spec.sockets, 0.0);
+            scratch.socket_residents.clear();
+            scratch.socket_residents.resize(spec.sockets, 0);
+            for &i in runnable {
+                scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
+                scratch.socket_residents[soa.socket[i]] += 1;
+            }
+            scratch.spill_frac_socket.clear();
+            for s in 0..spec.sockets {
+                let spill = spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
+                let thrash = if spec.adaptive_llc {
+                    1.0
+                } else {
+                    1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
+                        / spec.cores_per_socket as f64
+                };
+                scratch.spill_frac_socket.push(spill * thrash);
+            }
 
-                // Cache spill per socket from resident working sets, with
-                // the non-adaptive thrash amplification folded in.
-                scratch.socket_ws.clear();
-                scratch.socket_ws.resize(spec.sockets, 0.0);
-                scratch.socket_residents.clear();
-                scratch.socket_residents.resize(spec.sockets, 0);
-                for &i in runnable {
-                    scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
-                    scratch.socket_residents[soa.socket[i]] += 1;
-                }
-                scratch.spill_frac_socket.clear();
-                for s in 0..spec.sockets {
-                    let spill =
-                        spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
-                    let thrash = if spec.adaptive_llc {
-                        1.0
-                    } else {
-                        1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
-                            / spec.cores_per_socket as f64
-                    };
-                    scratch.spill_frac_socket.push(spill * thrash);
-                }
-
-                // Latency interference from co-resident bursting peers.
-                // Grouping the runnable set by core turns the all-pairs
-                // scan into per-core pair walks — only SMT-shared cores
-                // produce interference, and within a core the member
-                // list preserves ascending runnable order, so each
-                // thread accumulates the same additions in the same
-                // sequence as the spec's all-pairs loop.
-                scratch.interference.clear();
-                scratch.interference.resize(runnable.len(), 0.0);
-                if spec.smt_burst_collision > 0.0 {
-                    scratch.core_members.resize_with(spec.total_cores(), Vec::new);
-                    for list in &mut scratch.core_members {
-                        list.clear();
-                    }
-                    for (k, &i) in runnable.iter().enumerate() {
-                        scratch.core_members[soa.core[i]].push(k);
-                    }
-                    for members in &scratch.core_members {
-                        if members.len() < 2 {
-                            continue;
-                        }
-                        for &k in members {
-                            for &k2 in members {
-                                if k2 != k {
-                                    scratch.interference[k] +=
-                                        (multipliers[k2] - 1.0).max(0.0) * spec.smt_burst_collision;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Capacities for this segment: one memcpy of the nominal
-                // table, then DVFS/SMT scaling of occupied cores only. An
-                // idle core's pools carry no demand this segment, so
-                // leaving them nominal cannot move the solve.
-                capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
-                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                    if occ == 0 {
-                        continue;
-                    }
-                    let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
-                    let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
-                    let issue = table.core_issue(CoreId(c));
-                    capacities[issue.0] = table.get(issue).capacity * scale * smt;
-                    let l1 = table.l1(CoreId(c));
-                    capacities[l1.0] = table.get(l1).capacity * scale;
-                    let l2 = table.l2(CoreId(c));
-                    capacities[l2.0] = table.get(l2).capacity * scale;
-                }
-                for g in 0..n_groups {
-                    capacities[lock_base + g] = 1.0;
-                }
-
-                // Build demand bundles (burst- and spill-adjusted) into
-                // reused slots: the sparse buffers from previous segments
-                // are cleared and refilled, never reallocated.
-                demands.truncate(runnable.len());
-                scratch.instr_demands.clear();
-                for (k, &i) in runnable.iter().enumerate() {
-                    let m = multipliers[k];
-                    let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
-                    let extra_dram = soa.d_l3[i] * spill_frac;
-                    if k == demands.len() {
-                        // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
-                        demands
-                            .push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
-                    }
-                    let slot = &mut demands[k];
-                    slot.max_rate = 1.0;
-                    let sparse = &mut slot.demands;
-                    sparse.clear();
-                    push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
-                    push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
-                    push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
-                    if soa.d_l3[i] > 0.0 {
-                        push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
-                        push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
-                    }
-                    let dram_total = (soa.d_dram[i] + extra_dram) * m;
-                    if dram_total > 0.0 {
-                        for node in 0..spec.sockets {
-                            let frac = soa.dram_split[i * spec.sockets + node];
-                            if frac <= 0.0 {
-                                continue;
-                            }
-                            push_demand(sparse, soa.res_dram[node], dram_total * frac);
-                            if node != soa.socket[i] {
-                                let link = soa.res_link[soa.socket[i] * spec.sockets + node];
-                                if let Some(link) = link {
-                                    push_demand(sparse, link, dram_total * frac);
-                                }
-                            }
-                        }
-                    }
-                    if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
-                        sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
-                    }
-                    scratch.instr_demands.push(soa.d_instr[i] * m);
-                }
-
-                // Communication constants per runnable thread, hoisted out
-                // of the relaxation rounds: the `comm_factor · latency`
-                // products are fixed for the segment (two per thread, for
-                // same- and cross-socket peers — the same two multiplies
-                // the per-pair form performs, in the same order), and the
-                // same-group worker lists bound each thread's peer scan to
-                // its actual peers in ascending runnable order.
-                scratch.cf_lat_intra.clear();
-                scratch.cf_lat_cross.clear();
-                for &i in runnable {
-                    let cf = soa.comm_factor[i];
-                    scratch
-                        .cf_lat_intra
-                        .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
-                    scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
-                }
-                scratch.group_members.resize_with(n_groups, Vec::new);
-                for list in &mut scratch.group_members {
+            // Latency interference from co-resident bursting peers.
+            // Grouping the runnable set by core turns the all-pairs
+            // scan into per-core pair walks — only SMT-shared cores
+            // produce interference, and within a core the member
+            // list preserves ascending runnable order, so each
+            // thread accumulates the same additions in the same
+            // sequence as the spec's all-pairs loop.
+            scratch.interference.clear();
+            scratch.interference.resize(runnable.len(), 0.0);
+            if spec.smt_burst_collision > 0.0 {
+                scratch.core_members.resize_with(spec.total_cores(), Vec::new);
+                for list in &mut scratch.core_members {
                     list.clear();
                 }
                 for (k, &i) in runnable.iter().enumerate() {
-                    if soa.is_worker[i] {
-                        scratch.group_members[soa.group[i]].push(k);
+                    scratch.core_members[soa.core[i]].push(k);
+                }
+                for members in &scratch.core_members {
+                    if members.len() < 2 {
+                        continue;
+                    }
+                    for &k in members {
+                        for &k2 in members {
+                            if k2 != k {
+                                scratch.interference[k] +=
+                                    (multipliers[k2] - 1.0).max(0.0) * spec.smt_burst_collision;
+                            }
+                        }
                     }
                 }
+            }
 
-                // Snapshot the structural inputs so the next full middle
-                // can recognise an unchanged prologue.
-                scratch.prev_runnable.clear();
-                scratch.prev_runnable.extend_from_slice(runnable);
-                scratch.prev_multipliers.clear();
-                scratch.prev_multipliers.extend(multipliers.iter().map(|m| m.to_bits()));
-                scratch.structure_valid = true;
+            // Capacities for this segment: one memcpy of the nominal
+            // table, then DVFS/SMT scaling of occupied cores only. An
+            // idle core's pools carry no demand this segment, so
+            // leaving them nominal cannot move the solve.
+            capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
+            for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                if occ == 0 {
+                    continue;
+                }
+                let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
+                let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
+                let issue = table.core_issue(CoreId(c));
+                capacities[issue.0] = table.get(issue).capacity * scale * smt;
+                let l1 = table.l1(CoreId(c));
+                capacities[l1.0] = table.get(l1).capacity * scale;
+                let l2 = table.l2(CoreId(c));
+                capacities[l2.0] = table.get(l2).capacity * scale;
+            }
+            for g in 0..n_groups {
+                capacities[lock_base + g] = 1.0;
+            }
+
+            // Build demand bundles (burst- and spill-adjusted) into
+            // reused slots: the sparse buffers from previous segments
+            // are cleared and refilled, never reallocated.
+            demands.truncate(runnable.len());
+            scratch.instr_demands.clear();
+            for (k, &i) in runnable.iter().enumerate() {
+                let m = multipliers[k];
+                let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
+                let extra_dram = soa.d_l3[i] * spill_frac;
+                if k == demands.len() {
+                    // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
+                    demands.push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
+                }
+                let slot = &mut demands[k];
+                slot.max_rate = 1.0;
+                let sparse = &mut slot.demands;
+                sparse.clear();
+                push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
+                push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
+                push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
+                if soa.d_l3[i] > 0.0 {
+                    push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
+                    push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
+                }
+                let dram_total = (soa.d_dram[i] + extra_dram) * m;
+                if dram_total > 0.0 {
+                    for node in 0..spec.sockets {
+                        let frac = soa.dram_split[i * spec.sockets + node];
+                        if frac <= 0.0 {
+                            continue;
+                        }
+                        push_demand(sparse, soa.res_dram[node], dram_total * frac);
+                        if node != soa.socket[i] {
+                            let link = soa.res_link[soa.socket[i] * spec.sockets + node];
+                            if let Some(link) = link {
+                                push_demand(sparse, link, dram_total * frac);
+                            }
+                        }
+                    }
+                }
+                if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
+                    sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
+                }
+                scratch.instr_demands.push(soa.d_instr[i] * m);
+            }
+
+            // Communication constants per runnable thread, hoisted out
+            // of the relaxation rounds: the `comm_factor · latency`
+            // products are fixed for the segment (two per thread, for
+            // same- and cross-socket peers — the same two multiplies
+            // the per-pair form performs, in the same order), and the
+            // same-group worker lists bound each thread's peer scan to
+            // its actual peers in ascending runnable order.
+            scratch.cf_lat_intra.clear();
+            scratch.cf_lat_cross.clear();
+            for &i in runnable {
+                let cf = soa.comm_factor[i];
+                scratch
+                    .cf_lat_intra
+                    .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
+                scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
+            }
+            scratch.group_members.resize_with(n_groups, Vec::new);
+            for list in &mut scratch.group_members {
+                list.clear();
+            }
+            for (k, &i) in runnable.iter().enumerate() {
+                if soa.is_worker[i] {
+                    scratch.group_members[soa.group[i]].push(k);
+                }
             }
 
             // Relaxation rounds: lock queueing + communication latency
             // feed back into intrinsic rates. The round buffers live
             // in the scratch; the solver's result is copied out, so a
             // steady segment stream performs no per-round allocation.
+            let nk = runnable.len();
             scratch.round_rates.clear();
             scratch.round_rates.extend(runnable.iter().map(|&i| prev_rates[i]));
             scratch.last_loads.clear();
-            for round in 0..config.relaxation_rounds {
+            for round in 0..RELAXATION_ROUNDS {
                 scratch.rho.clear();
                 scratch.rho.resize(n_groups, 0.0);
                 for (k, &i) in runnable.iter().enumerate() {
@@ -1250,7 +1165,7 @@ fn run_multi_impl(
                 }
                 scratch.queue_delay.clear();
                 scratch.queue_delay.extend(scratch.rho.iter().map(|&r| {
-                    let r = r.min(config.max_lock_rho);
+                    let r = r.min(MAX_LOCK_RHO);
                     r / (1.0 - r)
                 }));
 
@@ -1303,16 +1218,11 @@ fn run_multi_impl(
                     };
                     demands[k].max_rate = max_rate;
                 }
-                // Round 0 re-primes the solver on this segment's demand
-                // bundles; later rounds rewrite only the rate caps, so
-                // the prefix walk's outcome is known and skipped. An
-                // unchanged structure extends that to round 0 too: the
-                // solver's last call already holds these exact bundles.
-                let alloc = if round == 0 && !structure_same {
-                    match prefix_hint {
-                        Some(lcp) => solver.solve_with_prefix_hint(&demands, &capacities, lcp),
-                        None => solver.solve(&demands, &capacities),
-                    }
+                // Round 0 builds the solver state from this segment's
+                // demand bundles; later rounds rewrite only the rate
+                // caps, so they reuse that state.
+                let alloc = if round == 0 {
+                    solver.solve(&demands, &capacities)
                 } else {
                     solver.solve_same_demands(&demands, &capacities)
                 };
@@ -1379,7 +1289,7 @@ fn run_multi_impl(
     let stats = SimStats {
         segments: run.segment as u64,
         segments_coalesced,
-        solves: solver_stats.solves + solver_stats.delta_solves,
+        solves: solver_stats.solves,
         solves_skipped: solver_stats.solves_skipped,
         solves_batched: solver_stats.prefix_solves,
     };
@@ -1592,7 +1502,7 @@ mod spec {
         // its ILP share of the core, and the solve feeds the rates back.
         let mut rates: Vec<f64> = runnable.iter().map(|&i| run.prev_rates[i]).collect();
         let mut loads = Vec::new();
-        for _ in 0..run.config.relaxation_rounds {
+        for _ in 0..RELAXATION_ROUNDS {
             let mut rho = vec![0.0_f64; n_groups];
             for (k, &i) in runnable.iter().enumerate() {
                 if entities[i].is_worker() {
@@ -1603,7 +1513,7 @@ mod spec {
                 let (e, scale) = (&entities[i], dvfs.scale_for_core(spec, entities[i].core));
                 let (mut queue, mut comm) = (0.0, 0.0);
                 if e.is_worker() {
-                    let r = rho[e.group].min(run.config.max_lock_rho);
+                    let r = rho[e.group].min(MAX_LOCK_RHO);
                     queue = e.behavior.seq_fraction * (r / (1.0 - r));
                     for (k2, &j) in runnable.iter().enumerate() {
                         let peer = &entities[j];
@@ -1831,12 +1741,13 @@ mod oracle {
 
     #[test]
     fn solve_counters_reconcile_with_the_spec_segment_count() {
-        // Every solver call lands in exactly one bucket — full/delta
+        // Every solver call lands in exactly one bucket — state build
         // (solves), skipped, or batched — and a replayed segment stands
-        // for `relaxation_rounds` calls, so the buckets add up to
-        // `relaxation_rounds` solves per segment of the spec's schedule.
+        // for `RELAXATION_ROUNDS` calls, so the buckets add up to
+        // `RELAXATION_ROUNDS` solves per segment of the spec's schedule.
+        // Each computed middle builds the state exactly once, in round 0.
         let mut rng = Rng(0x5EED_5041);
-        let rounds = EngineConfig::default().relaxation_rounds as u64;
+        let rounds = RELAXATION_ROUNDS as u64;
         for case in 0..10u64 {
             let (spec, b, p) = random_single(&mut rng, case as usize);
             let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
@@ -1849,6 +1760,11 @@ mod oracle {
                 stats.solves + stats.solves_skipped + stats.solves_batched + replayed,
                 rounds * segments,
                 "case {case}: solve counters must reconcile ({stats:?})"
+            );
+            assert_eq!(
+                stats.solves,
+                stats.segments - stats.segments_coalesced,
+                "case {case}: one state build per computed middle ({stats:?})"
             );
         }
     }

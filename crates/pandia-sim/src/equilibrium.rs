@@ -108,45 +108,35 @@ pub fn solve(entities: &[EntityDemand], capacities: &[f64]) -> Allocation {
 /// Counters kept by an [`IncrementalSolver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Progressive-filling solves built from scratch (no reusable prefix).
+    /// [`IncrementalSolver::solve`] calls: each builds the pristine
+    /// contributor state from its entities and runs the filling loop.
     pub solves: u64,
-    /// Calls answered from the cached allocation (inputs bitwise equal to
-    /// the previous call).
+    /// [`IncrementalSolver::solve_same_demands`] calls answered from the
+    /// cached allocation: the rate caps and capacities were bitwise equal
+    /// to the previous call's as well.
     pub solves_skipped: u64,
-    /// Warm-started re-solves: a *proper* prefix of the previous call's
-    /// entity stack was reused (the rest was rewound and rebuilt), e.g. a
-    /// finished thread dropping out or a burst phase flipping mid-list.
-    pub delta_solves: u64,
-    /// Re-solves whose entire pristine state was reused: every entity's
-    /// demand bundle was bitwise unchanged and only intrinsic rate caps
-    /// moved (the engine's second relaxation round, and steady segments
-    /// whose warm start shifted). The contributor lists and slopes are
-    /// shared outright and only the filling loop runs.
+    /// [`IncrementalSolver::solve_same_demands`] calls whose rate caps or
+    /// capacities moved: the pristine state is shared outright and only
+    /// the filling loop runs (the engine's later relaxation rounds).
     pub prefix_solves: u64,
 }
 
-/// The pristine (pre-iteration) contributor state for a *stack* of
-/// entities, with an undo log so the stack can be rewound to any prefix
-/// and re-extended bit-exactly.
+/// The pristine (pre-iteration) contributor state of an entity list:
+/// what [`solve`] derives before its first filling round.
 ///
-/// A pool's slope is accumulated left to right as entities are pushed —
-/// the same addition sequence [`solve`]'s from-scratch `ordered` sum
-/// performs — and every push records the pool's previous slope bits, so a
-/// pop restores exactly the value the shorter prefix had. This is what
-/// makes prefix reuse *bit-identical* to a rebuild rather than merely
-/// close: reused slopes are the very bits a recomputation would produce.
+/// A pool's slope is accumulated left to right as the entities are
+/// added, the same addition sequence [`solve`]'s first round performs,
+/// so a fill over this state starts from the very bits a from-scratch
+/// solve would.
 ///
-/// Every buffer is retained across calls and refilled in place, so a long
-/// solve sequence settles into zero steady-state allocation — the solver
-/// sits two calls deep in the engine's per-segment hot loop and cannot
-/// afford to rebuild this state on the heap millions of times.
+/// Every buffer is retained across builds and refilled in place, so a
+/// long solve sequence settles into zero steady-state allocation: the
+/// solver sits two calls deep in the engine's per-segment hot loop.
 #[derive(Debug, Default)]
-struct PrefixState {
-    /// Entity storage; only the first `depth` entries are live. Slots are
-    /// reused on re-push so inner demand vectors keep their capacity.
+struct PristineState {
+    /// The entities the state was built from. Slots are reused on
+    /// rebuild so inner demand vectors keep their capacity.
     entities: Vec<EntityDemand>,
-    /// Live stack depth.
-    depth: usize,
     /// Entity indices with positive max rate, ascending.
     active: Vec<usize>,
     /// Per-pool `(entity, demand)` contributor lists in entity order.
@@ -157,40 +147,26 @@ struct PrefixState {
     live: Vec<u32>,
     /// Per-pool slope: the running left-to-right sum of its contributors.
     slope: Vec<f64>,
-    /// Undo log: `(pool, slope bits before this contributor was added)`.
-    undo_pools: Vec<(usize, u64)>,
-    /// One frame per pushed entity: `(undo_pools length at push, whether
-    /// the entity joined the active list)`.
-    undo_frames: Vec<(usize, bool)>,
 }
 
 /// Whether two entities build the same pristine contributor state: the
 /// demand bundles are bitwise equal and the entity is active (positive
 /// max rate) in both. The *value* of a positive max rate only matters to
-/// the filling loop, which always reads it fresh — so a prefix whose rate
-/// caps moved is still fully reusable.
-fn prefix_compatible(a: &EntityDemand, b: &EntityDemand) -> bool {
-    if (a.max_rate > 0.0) != (b.max_rate > 0.0) || a.demands.len() != b.demands.len() {
-        return false;
-    }
-    // Accumulate without short-circuiting: the compare sits on the
-    // solver's every-call path where bundles are short and usually equal,
-    // so a branchless sweep beats a per-element exit.
-    let mut eq = true;
-    for (&(ra, da), &(rb, db)) in a.demands.iter().zip(&b.demands) {
-        eq &= (ra == rb) & (da.to_bits() == db.to_bits());
-    }
-    eq
+/// the filling loop, which always reads it fresh.
+fn same_pristine(a: &EntityDemand, b: &EntityDemand) -> bool {
+    (a.max_rate > 0.0) == (b.max_rate > 0.0)
+        && a.demands.len() == b.demands.len()
+        && a.demands
+            .iter()
+            .zip(&b.demands)
+            .all(|(&(ra, da), &(rb, db))| ra == rb && da.to_bits() == db.to_bits())
 }
 
-impl PrefixState {
-    /// Drops everything and re-dimensions the per-pool buffers for `m`
-    /// pools (a changed pool count invalidates every contributor index).
-    fn reset_pools(&mut self, m: usize) {
-        self.depth = 0;
+impl PristineState {
+    /// Rebuilds the state for `entities` over `m` pools.
+    fn build(&mut self, entities: &[EntityDemand], m: usize) {
+        self.entities.truncate(entities.len());
         self.active.clear();
-        self.undo_pools.clear();
-        self.undo_frames.clear();
         for list in &mut self.contrib {
             list.clear();
         }
@@ -199,55 +175,24 @@ impl PrefixState {
         self.live.resize(m, 0);
         self.slope.clear();
         self.slope.resize(m, 0.0);
-    }
-
-    /// Pops entities until only the first `to` remain, restoring every
-    /// touched pool's slope to its recorded bits.
-    fn rewind(&mut self, to: usize) {
-        while self.depth > to {
-            // One undo frame exists per live entity, so the pop cannot
-            // miss while depth is positive; exhaustion just stops early.
-            let Some((start, was_active)) = self.undo_frames.pop() else {
-                break;
-            };
-            for &(r, bits) in self.undo_pools[start..].iter().rev() {
-                self.contrib[r].pop();
-                self.live[r] -= 1;
-                self.slope[r] = f64::from_bits(bits);
+        for (idx, e) in entities.iter().enumerate() {
+            if e.max_rate > 0.0 {
+                self.active.push(idx);
+                for &(r, d) in &e.demands {
+                    self.contrib[r].push((idx, d));
+                    self.live[r] += 1;
+                    self.slope[r] += d;
+                }
             }
-            self.undo_pools.truncate(start);
-            if was_active {
-                self.active.pop();
-            }
-            self.depth -= 1;
-        }
-    }
-
-    /// Pushes one entity onto the stack, extending the contributor lists
-    /// and running slopes and journaling the overwritten slope bits.
-    fn push(&mut self, e: &EntityDemand) {
-        let idx = self.depth;
-        let start = self.undo_pools.len();
-        let is_active = e.max_rate > 0.0;
-        if is_active {
-            self.active.push(idx);
-            for &(r, d) in &e.demands {
-                self.undo_pools.push((r, self.slope[r].to_bits()));
-                self.contrib[r].push((idx, d));
-                self.live[r] += 1;
-                self.slope[r] += d;
+            if let Some(slot) = self.entities.get_mut(idx) {
+                slot.max_rate = e.max_rate;
+                slot.demands.clear();
+                slot.demands.extend_from_slice(&e.demands);
+            } else {
+                // lint: allow(H2): first-use growth only; steady state reuses the slot
+                self.entities.push(e.clone());
             }
         }
-        self.undo_frames.push((start, is_active));
-        if let Some(slot) = self.entities.get_mut(idx) {
-            slot.max_rate = e.max_rate;
-            slot.demands.clear();
-            slot.demands.extend_from_slice(&e.demands);
-        } else {
-            // lint: allow(H2): first-use growth only; steady state reuses the slot
-            self.entities.push(e.clone());
-        }
-        self.depth += 1;
     }
 }
 
@@ -285,36 +230,28 @@ struct FillScratch {
     dirty_flag: Vec<bool>,
 }
 
-/// A [`solve`] wrapper that reuses work across consecutive calls.
+/// A [`solve`] wrapper that keeps the pristine contributor state of its
+/// last [`Self::solve`] call, for callers that then re-solve the same
+/// demand bundles under new rate caps or capacities.
 ///
-/// Four paths, all returning allocations **bit-identical** to [`solve`]
-/// on the same inputs:
+/// * [`Self::solve`] builds the pristine state from its entities and
+///   runs the filling loop;
+/// * [`Self::solve_same_demands`] is for callers that know no demand
+///   bundle moved since the previous call: it returns the cached
+///   allocation outright when the rate caps and capacities are bitwise
+///   unchanged too (*skip*), and otherwise shares the whole pristine
+///   state and runs only the filling loop (*prefix*).
 ///
-/// * *skip* — the demand and capacity vectors are bitwise equal to the
-///   previous call's: the cached allocation is returned outright;
-/// * *prefix* — every demand bundle is bitwise unchanged and only rate
-///   caps (and possibly capacities) moved: the whole pristine contributor
-///   state is reused and just the filling loop runs. This is the batched
-///   fast path: one contributor build fans out across every candidate
-///   that shares it;
-/// * *delta* — the new entity list shares a proper leading prefix with
-///   the previous one (a finished thread, a flipped burst phase): the
-///   stack is rewound to the shared prefix — restoring the journaled
-///   slope bits — and only the suffix is re-pushed;
-/// * *full* — no shared prefix: the state is rebuilt from scratch.
-///
-/// Bit identity holds because every shortcut performs (or restores the
-/// result of) the *same ordered arithmetic* the from-scratch solve would:
-/// a pool's slope is a left-to-right sum over its contributors in entity
-/// order, pushes extend that sum in order, and pops restore the exact
-/// prior bits — IEEE arithmetic is deterministic, so a reused value is
-/// the value the recomputation would produce.
+/// Both return allocations **bit-identical** to [`solve`] on the same
+/// inputs: a pool's slope is the same left-to-right sum over its
+/// contributors in entity order, and IEEE arithmetic is deterministic,
+/// so a reused value is the value the recomputation would produce.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
-    /// Whether `prefix`/`allocation` hold the previous call's inputs and
-    /// result.
+    /// Whether `pristine`/`allocation` hold the previous call's inputs
+    /// and result.
     primed: bool,
-    prefix: PrefixState,
+    pristine: PristineState,
     capacities: Vec<f64>,
     allocation: Allocation,
     scratch: FillScratch,
@@ -332,134 +269,38 @@ impl IncrementalSolver {
         self.stats
     }
 
-    /// Solves the max-min fair allocation, reusing the previous call's
-    /// work where the inputs allow. Bit-identical to [`solve`]; the
+    /// Solves the max-min fair allocation and keeps the pristine state
+    /// for [`Self::solve_same_demands`]. Bit-identical to [`solve`]; the
     /// returned reference is valid until the next call (the engine's hot
     /// loop copies the rates out, so nothing is cloned per solve).
     pub fn solve(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &Allocation {
-        if capacities.len() != self.prefix.slope.len() {
-            self.prefix.reset_pools(capacities.len());
-        }
-        // One walk serves both the skip check and the prefix length:
-        // `entity_eq` is exactly `prefix_compatible` plus rate-cap bit
-        // equality, so tracking the caps alongside the prefix scan avoids
-        // a second full comparison on the (common) reuse paths.
-        let bound = self.prefix.depth.min(entities.len());
-        let mut lcp = 0;
-        let mut caps_match = true;
-        while lcp < bound {
-            let (prev, cur) = (&self.prefix.entities[lcp], &entities[lcp]);
-            if !prefix_compatible(prev, cur) {
-                caps_match = false;
-                break;
-            }
-            caps_match &= prev.max_rate.to_bits() == cur.max_rate.to_bits();
-            lcp += 1;
-        }
-        if self.primed
-            && caps_match
-            && lcp == entities.len()
-            && self.prefix.depth == entities.len()
-            && bits_eq(&self.capacities, capacities)
-        {
-            self.stats.solves_skipped += 1;
-            return &self.allocation;
-        }
-        if self.primed && lcp == entities.len() && self.prefix.depth == entities.len() {
-            self.stats.prefix_solves += 1;
-        } else if self.primed && lcp > 0 {
-            self.stats.delta_solves += 1;
-        } else {
-            self.stats.solves += 1;
-        }
-        self.prefix.rewind(lcp);
-        for e in &entities[lcp..] {
-            self.prefix.push(e);
-        }
+        self.stats.solves += 1;
+        self.pristine.build(entities, capacities.len());
         self.primed = true;
-        self.fill(entities, capacities)
-    }
-
-    /// [`Self::solve`] for callers that know, from their own change
-    /// tracking, the longest leading prefix of `entities` whose
-    /// pristine state matches this solver's stack: every entity before
-    /// `lcp` must be [`prefix_compatible`] with the stored stack
-    /// (`entities.len()` when all are), and the entity *at* `lcp` is
-    /// expected incompatible. The engine derives this from its
-    /// structural snapshot — with an unchanged runnable set a bundle
-    /// moves exactly when its entity's burst multiplier bits moved and
-    /// the bundle carries multiplier-scaled entries. That derivation
-    /// cannot see one corner: two distinct multipliers whose scaled
-    /// products all round to identical bits. The boundary entity is
-    /// therefore re-checked here, and on a collision the call falls
-    /// back to the full walk of [`Self::solve`] — so classification
-    /// and arithmetic stay exactly `solve`'s in every case. Debug
-    /// builds verify the claimed prefix entity by entity.
-    pub fn solve_with_prefix_hint(
-        &mut self,
-        entities: &[EntityDemand],
-        capacities: &[f64],
-        lcp: usize,
-    ) -> &Allocation {
-        debug_assert!(self.primed);
-        debug_assert_eq!(self.prefix.depth, entities.len());
-        debug_assert_eq!(self.prefix.slope.len(), capacities.len());
-        debug_assert!(
-            self.prefix
-                .entities
-                .iter()
-                .zip(entities)
-                .take(lcp)
-                .all(|(prev, cur)| prefix_compatible(prev, cur)),
-            "every entity before the hinted prefix length must be compatible"
-        );
-        if lcp == entities.len() {
-            return self.solve_same_demands(entities, capacities);
-        }
-        if prefix_compatible(&self.prefix.entities[lcp], &entities[lcp]) {
-            // Rounding collision: the caller saw the boundary entity's
-            // inputs move, but the scaled entries still came out
-            // bitwise identical. Re-derive the true prefix length so
-            // the reuse depth and counters match a plain solve.
-            return self.solve(entities, capacities);
-        }
-        if lcp > 0 {
-            self.stats.delta_solves += 1;
-        } else {
-            self.stats.solves += 1;
-        }
-        self.prefix.rewind(lcp);
-        for e in &entities[lcp..] {
-            self.prefix.push(e);
-        }
         self.fill(entities, capacities)
     }
 
     /// [`Self::solve`] for callers that *know* every demand bundle is
     /// bitwise unchanged since the previous call on this solver — the
-    /// engine's relaxation rounds, which rewrite only the rate caps
-    /// between solves. Skips the per-entity prefix walk (its outcome is
-    /// known: full compatibility) but classifies the call exactly as
-    /// [`Self::solve`] would — `solves_skipped` when the caps and
-    /// capacities are also bit-equal, `prefix_solves` otherwise — so the
-    /// counters reconcile across paths. Debug builds verify the caller's
-    /// contract in full.
+    /// engine's later relaxation rounds, which rewrite only the rate caps
+    /// between solves. Counts `solves_skipped` when the caps and
+    /// capacities are also bit-equal and `prefix_solves` otherwise.
+    /// Debug builds verify the caller's contract in full.
     pub fn solve_same_demands(
         &mut self,
         entities: &[EntityDemand],
         capacities: &[f64],
     ) -> &Allocation {
+        let pristine = &self.pristine;
         debug_assert!(self.primed);
-        debug_assert_eq!(self.prefix.depth, entities.len());
-        debug_assert_eq!(self.prefix.slope.len(), capacities.len());
-        debug_assert!(self
-            .prefix
+        debug_assert_eq!(pristine.entities.len(), entities.len());
+        debug_assert_eq!(pristine.slope.len(), capacities.len());
+        debug_assert!(pristine
             .entities
             .iter()
             .zip(entities)
-            .all(|(prev, cur)| prefix_compatible(prev, cur)));
-        let caps_match = self
-            .prefix
+            .all(|(prev, cur)| same_pristine(prev, cur)));
+        let caps_match = pristine
             .entities
             .iter()
             .zip(entities)
@@ -474,9 +315,9 @@ impl IncrementalSolver {
 
     /// Records this call's rate caps and capacities — the pristine state
     /// ignores their values, but the next call's skip check needs the
-    /// exact bits — and runs the filling loop over the pristine stack.
+    /// exact bits — and runs the filling loop over the pristine state.
     fn fill(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &Allocation {
-        for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
+        for (slot, src) in self.pristine.entities.iter_mut().zip(entities) {
             slot.max_rate = src.max_rate;
         }
         self.capacities.clear();
@@ -484,10 +325,10 @@ impl IncrementalSolver {
         fill_pristine(
             entities,
             capacities,
-            &self.prefix.active,
-            &self.prefix.contrib,
-            &self.prefix.live,
-            &self.prefix.slope,
+            &self.pristine.active,
+            &self.pristine.contrib,
+            &self.pristine.live,
+            &self.pristine.slope,
             &mut self.scratch,
             &mut self.allocation,
         );

@@ -19,7 +19,7 @@ use crate::{
 /// Simulation configuration for a [`SimMachine`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
-    /// Engine tunables (segmenting, relaxation, noise).
+    /// Engine tunables (measurement noise, fault injection).
     pub engine: EngineConfig,
 }
 

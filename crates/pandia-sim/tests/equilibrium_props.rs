@@ -6,7 +6,7 @@
 //! splitmix64 generator: every case is reproducible from its printed
 //! seed.
 
-use pandia_sim::equilibrium::{solve, Allocation, EntityDemand, IncrementalSolver};
+use pandia_sim::equilibrium::{solve, Allocation, EntityDemand, IncrementalSolver, SolveStats};
 
 const CASES: u64 = 48;
 
@@ -160,28 +160,29 @@ fn added_demand_never_raises_other_rates() {
 
 #[test]
 fn incremental_matches_from_scratch_bitwise() {
-    // The three solver paths — cold, cache hit, and repeated single-entity
-    // removal (a thread finishing every step) — must all reproduce the
-    // naive solve bit for bit.
+    // A cold build, an exact repeat through `solve_same_demands`, and
+    // repeated single-entity removal (a thread finishing every step, each
+    // a fresh build over reused buffers) must all reproduce the naive
+    // solve bit for bit.
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let (mut entities, capacities) = random_instance(&mut rng);
+        let removals = entities.len() as u64;
         let mut solver = IncrementalSolver::new();
 
         let cold = solver.solve(&entities, &capacities).clone();
         assert_bits_eq(&cold, &solve(&entities, &capacities), "cold", seed);
-        let hit = solver.solve(&entities, &capacities).clone();
+        let hit = solver.solve_same_demands(&entities, &capacities).clone();
         assert_bits_eq(&hit, &cold, "cache hit", seed);
 
         while !entities.is_empty() {
             let victim = rng.usize_in(0, entities.len() - 1);
             entities.remove(victim);
             let warm = solver.solve(&entities, &capacities);
-            assert_bits_eq(warm, &solve(&entities, &capacities), "delta", seed);
+            assert_bits_eq(warm, &solve(&entities, &capacities), "rebuild", seed);
         }
-        let stats = solver.stats();
-        assert_eq!(stats.solves_skipped, 1, "one exact repeat per case: {stats:?}");
-        assert!(stats.delta_solves > 0 || stats.solves > 1, "deltas never exercised: {stats:?}");
+        let want = SolveStats { solves: 1 + removals, solves_skipped: 1, prefix_solves: 0 };
+        assert_eq!(solver.stats(), want, "one exact repeat per case (seed {seed})");
     }
 }
 
@@ -209,17 +210,25 @@ fn batched_solves_match_independent_when_all_candidates_share() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let (base, capacities) = random_instance(&mut rng);
-        let candidates: Vec<Vec<EntityDemand>> = (0..5)
-            .map(|_| {
-                base.iter()
-                    .map(|e| EntityDemand {
-                        demands: e.demands.clone(),
-                        max_rate: rng.f64_in(0.1, 3.0),
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_batch_matches_independent(&candidates, &capacities, "all-share", seed);
+        let mut solver = IncrementalSolver::new();
+        for c in 0..5 {
+            let cand: Vec<EntityDemand> = base
+                .iter()
+                .map(|e| EntityDemand {
+                    demands: e.demands.clone(),
+                    max_rate: rng.f64_in(0.1, 3.0),
+                })
+                .collect();
+            let got = if c == 0 {
+                solver.solve(&cand, &capacities)
+            } else {
+                solver.solve_same_demands(&cand, &capacities)
+            };
+            let what = format!("all-share candidate {c}");
+            assert_bits_eq(got, &solve(&cand, &capacities), &what, seed);
+        }
+        let want = SolveStats { solves: 1, solves_skipped: 0, prefix_solves: 4 };
+        assert_eq!(solver.stats(), want, "one build fans out (seed {seed})");
     }
 }
 
@@ -252,9 +261,8 @@ fn batched_solves_match_independent_when_no_candidates_share() {
 #[test]
 fn batched_solves_match_independent_on_nested_prefixes() {
     // Nested prefixes: candidate k is the first k+1 entities of a common
-    // list, swept longest → shortest → longest so the batch exercises
-    // rewinds (journaled slope bits restored) and re-pushes in both
-    // directions.
+    // list, swept longest → shortest → longest, so consecutive builds
+    // shrink and regrow the solver's retained buffers.
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let (base, capacities) = random_instance(&mut rng);
@@ -276,7 +284,11 @@ fn batched_prefix_reuse_survives_capacity_changes() {
         let mut solver = IncrementalSolver::new();
         for step in 0..4 {
             let caps: Vec<f64> = capacities.iter().map(|c| c * (1.0 + 0.1 * step as f64)).collect();
-            let got = solver.solve(&base, &caps);
+            let got = if step == 0 {
+                solver.solve(&base, &caps)
+            } else {
+                solver.solve_same_demands(&base, &caps)
+            };
             assert_bits_eq(got, &solve(&base, &caps), "capacity sweep", seed);
         }
         let stats = solver.stats();
@@ -285,6 +297,7 @@ fn batched_prefix_reuse_survives_capacity_changes() {
             stats.prefix_solves, 3,
             "capacity-only changes must ride the batched path: {stats:?}"
         );
+        assert_eq!(stats.solves_skipped, 0, "every capacity vector is new: {stats:?}");
     }
 }
 
@@ -314,25 +327,18 @@ fn new_rate_caps(rng: &mut Rng, entities: &mut [EntityDemand]) {
     }
 }
 
-/// Scales one demand of entity `k`, so its bundle no longer matches.
-fn move_bundle(rng: &mut Rng, entities: &mut [EntityDemand], k: usize) {
-    let d = &mut entities[k].demands[0].1;
-    *d *= rng.f64_in(1.1, 2.0);
-}
-
 #[test]
 fn same_demand_solves_match_plain_solves() {
-    // `solve_same_demands` skips the prefix walk for callers that know no
-    // demand bundle moved. Over rate-cap and capacity changes only (and
-    // exact repeats), it must return `solve`'s bits and count every call
-    // exactly as the same calls through plain `IncrementalSolver::solve`.
+    // `solve_same_demands` reuses the pristine state for callers that
+    // know no demand bundle moved. Over rate-cap and capacity changes
+    // only (and exact repeats), it must return `solve`'s bits, skipping
+    // exactly the repeats and re-filling on every other call.
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let (mut entities, base_caps) = random_instance(&mut rng);
         let mut caps = base_caps.clone();
-        let (mut known, mut plain) = (IncrementalSolver::new(), IncrementalSolver::new());
+        let mut known = IncrementalSolver::new();
         known.solve(&entities, &caps);
-        plain.solve(&entities, &caps);
         for step in 0..9 {
             match step % 3 {
                 0 => new_rate_caps(&mut rng, &mut entities),
@@ -341,69 +347,8 @@ fn same_demand_solves_match_plain_solves() {
             }
             let got = known.solve_same_demands(&entities, &caps);
             assert_bits_eq(got, &solve(&entities, &caps), "same demands", seed);
-            plain.solve(&entities, &caps);
         }
-        let stats = known.stats();
-        assert_eq!(stats, plain.stats(), "same-demand counters (seed {seed})");
-        assert_eq!(stats.solves_skipped, 3, "one exact repeat per cycle: {stats:?}");
-        assert_eq!(stats.prefix_solves, 6, "caps or capacities moved: {stats:?}");
-    }
-}
-
-#[test]
-fn prefix_hinted_solves_match_plain_solves_on_a_true_prefix() {
-    // The caller's hint is the true shared prefix: every entity before it
-    // is unchanged and the one at it moved. Later entities move at random.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (mut entities, caps) = random_instance(&mut rng);
-        let n = entities.len();
-        let (mut hinted, mut plain) = (IncrementalSolver::new(), IncrementalSolver::new());
-        hinted.solve(&entities, &caps);
-        plain.solve(&entities, &caps);
-        for _ in 0..4 {
-            let lcp = rng.usize_in(0, n - 1);
-            move_bundle(&mut rng, &mut entities, lcp);
-            for k in lcp + 1..n {
-                if rng.f64_in(0.0, 1.0) < 0.5 {
-                    move_bundle(&mut rng, &mut entities, k);
-                }
-            }
-            if rng.f64_in(0.0, 1.0) < 0.5 {
-                new_rate_caps(&mut rng, &mut entities);
-            }
-            let got = hinted.solve_with_prefix_hint(&entities, &caps, lcp);
-            assert_bits_eq(got, &solve(&entities, &caps), "true prefix hint", seed);
-            plain.solve(&entities, &caps);
-        }
-        assert_eq!(hinted.stats(), plain.stats(), "true-prefix counters (seed {seed})");
-    }
-}
-
-#[test]
-fn prefix_hinted_solves_fall_back_when_the_boundary_is_compatible() {
-    // The hinted boundary entity did not in fact move (a multiplier change
-    // whose scaled entries round to the same bits): the solver must
-    // re-derive the true prefix, which lies further on or covers the
-    // whole list, and count the call as plain `solve` would.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (mut entities, caps) = random_instance(&mut rng);
-        let n = entities.len();
-        let (mut hinted, mut plain) = (IncrementalSolver::new(), IncrementalSolver::new());
-        hinted.solve(&entities, &caps);
-        plain.solve(&entities, &caps);
-        for _ in 0..4 {
-            let lcp = rng.usize_in(1, n);
-            if lcp < n {
-                move_bundle(&mut rng, &mut entities, lcp);
-            }
-            new_rate_caps(&mut rng, &mut entities);
-            let hint = rng.usize_in(0, lcp - 1);
-            let got = hinted.solve_with_prefix_hint(&entities, &caps, hint);
-            assert_bits_eq(got, &solve(&entities, &caps), "compatible boundary hint", seed);
-            plain.solve(&entities, &caps);
-        }
-        assert_eq!(hinted.stats(), plain.stats(), "fallback counters (seed {seed})");
+        let want = SolveStats { solves: 1, solves_skipped: 3, prefix_solves: 6 };
+        assert_eq!(known.stats(), want, "one exact repeat per cycle (seed {seed})");
     }
 }

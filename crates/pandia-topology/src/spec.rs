@@ -304,11 +304,6 @@ impl MachineSpec {
         Some(before + (hi - lo - 1))
     }
 
-    /// The effective core issue capacity at a given frequency (GHz).
-    pub fn core_capacity_at(&self, ghz: f64) -> f64 {
-        self.core_ipc_rate * ghz / self.turbo.nominal_ghz
-    }
-
     /// Two-socket Haswell system (Oracle X5-2, Xeon E5-2699 v3): 18 cores
     /// per socket, 72 hardware threads — the largest machine in §6.1.
     pub fn x5_2() -> Self {
