@@ -31,7 +31,7 @@
 //!   --journal FILE        write-ahead journal: every event is appended
 //!                         (and batch-fsync'd) before it is applied
 //!   --journal-sync N      fsync the journal every N records (default 16)
-//!   --checkpoint FILE     write pandia-checkpoint-v1 state snapshots
+//!   --checkpoint FILE     write pandia-checkpoint-v2 state snapshots
 //!                         (atomic tmp+rename)
 //!   --checkpoint-interval N  checkpoint every N events (default 64)
 //!   --recover             restore from --checkpoint + --journal tail,

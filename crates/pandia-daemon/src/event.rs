@@ -10,6 +10,8 @@
 //! parsing goes through `serde_json::Value` so malformed logs produce
 //! diagnosable errors rather than panics.
 
+use std::fmt::Write as _;
+
 use pandia_core::PandiaError;
 
 /// Schema tag written as the first line of an event log file (defined
@@ -64,25 +66,24 @@ impl Event {
         }
     }
 
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
+    /// Appends the event to `out` as one JSONL line (no trailing
+    /// newline).
+    pub fn render(&self, out: &mut String) {
         match self {
             Event::Submit { job, class, priority } => {
                 out.push_str("{\"event\":\"submit\",\"job\":");
-                json_string(&mut out, job);
+                json_string(out, job);
                 out.push_str(",\"class\":");
-                json_string(&mut out, class);
+                json_string(out, class);
                 // Priority 0 is omitted so logs written before the field
                 // existed render (and re-render) byte-identically.
                 if *priority != 0 {
-                    out.push_str(",\"priority\":");
-                    out.push_str(&priority.to_string());
+                    let _ = write!(out, ",\"priority\":{priority}");
                 }
             }
             Event::Complete { job, elapsed } => {
                 out.push_str("{\"event\":\"complete\",\"job\":");
-                json_string(&mut out, job);
+                json_string(out, job);
                 if let Some(t) = elapsed {
                     out.push_str(",\"elapsed\":");
                     out.push_str(&format_f64(*t));
@@ -90,12 +91,11 @@ impl Event {
             }
             Event::Fail { job } => {
                 out.push_str("{\"event\":\"fail\",\"job\":");
-                json_string(&mut out, job);
+                json_string(out, job);
             }
             Event::Query => out.push_str("{\"event\":\"query\""),
         }
         out.push('}');
-        out
     }
 }
 
@@ -162,7 +162,7 @@ pub fn render_log(events: &[Event]) -> String {
     out.push_str(EVENTLOG_SCHEMA);
     out.push_str("\"}\n");
     for event in events {
-        out.push_str(&event.render());
+        event.render(&mut out);
         out.push('\n');
     }
     out

@@ -4,7 +4,9 @@
 //! `queued → running → completed/failed` (with `running → queued` on a
 //! retried failure). The daemon keeps one [`JobRecord`] per submission
 //! for its whole life — records are never dropped, so the audit trail
-//! can always account for every job the service ever saw.
+//! can always account for every job the service ever saw. A daemon
+//! restored from a checkpoint holds a terminal job's name and status
+//! only: nothing reads the rest of a terminal record.
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

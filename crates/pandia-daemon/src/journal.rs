@@ -13,6 +13,7 @@
 //! therefore tolerates a malformed *final* line (a torn write) while
 //! treating any earlier corruption or sequence gap as a real error.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,6 +40,8 @@ pub const CHECKPOINT_SCHEMA: &str = pandia_obs::schema::CHECKPOINT_SCHEMA;
 #[derive(Debug)]
 pub struct Journal {
     file: File,
+    /// The record being written, reused across appends.
+    line: String,
     path: PathBuf,
     sync_every: usize,
     pending: usize,
@@ -54,6 +57,7 @@ impl Journal {
         file.sync_data()?;
         Ok(Self {
             file,
+            line: String::new(),
             path: path.to_path_buf(),
             sync_every: sync_every.max(1),
             pending: 0,
@@ -62,9 +66,14 @@ impl Journal {
     }
 
     /// Appends one `{"seq":N,"entry":{...}}` record; syncs if the batch
-    /// is full.
+    /// is full. The record is rendered whole and handed to the OS with
+    /// one `write`.
     pub fn append(&mut self, seq: u64, event: &Event) -> std::io::Result<()> {
-        writeln!(self.file, "{{\"seq\":{seq},\"entry\":{}}}", event.render())?;
+        self.line.clear();
+        let _ = write!(self.line, "{{\"seq\":{seq},\"entry\":");
+        event.render(&mut self.line);
+        self.line.push_str("}\n");
+        self.file.write_all(self.line.as_bytes())?;
         self.appended += 1;
         self.pending += 1;
         if self.pending >= self.sync_every {
@@ -204,7 +213,13 @@ mod tests {
             assert_eq!(journal.appended(), 3);
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"schema\":\"pandia-journal-v1\"}\n"), "{text}");
+        assert_eq!(
+            text,
+            "{\"schema\":\"pandia-journal-v1\"}\n\
+             {\"seq\":5,\"entry\":{\"event\":\"submit\",\"job\":\"j0\",\"class\":\"cpu\",\"priority\":2}}\n\
+             {\"seq\":6,\"entry\":{\"event\":\"query\"}}\n\
+             {\"seq\":7,\"entry\":{\"event\":\"complete\",\"job\":\"j0\",\"elapsed\":12.5}}\n"
+        );
         let records = parse_journal(&text).unwrap();
         assert_eq!(records.len(), 3);
         for (i, (seq, event)) in records.iter().enumerate() {

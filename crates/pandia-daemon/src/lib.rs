@@ -29,7 +29,7 @@
 //! The daemon is crash-safe and overload-safe: a write-ahead [`Journal`]
 //! plus periodic checkpoints ([`Daemon::checkpoint`] /
 //! [`Daemon::restore`], schemas `pandia-journal-v1` /
-//! `pandia-checkpoint-v1`) let a killed `pandiad` restart into a
+//! `pandia-checkpoint-v2`) let a killed `pandiad` restart into a
 //! byte-identical state, while [`QueuePolicy`] bounds the submission
 //! queue (explicit rejections, deadline and overflow shedding, degraded
 //! mode halving the fleet memo) and [`RetryPolicy`] spreads faulted

@@ -786,8 +786,15 @@ impl Daemon {
     }
 
     /// Serializes the daemon's full logical state as a
-    /// `pandia-checkpoint-v1` document (JSONL: schema+seq line, meta
-    /// line, one line per job record, transcript line).
+    /// `pandia-checkpoint-v2` document: a schema+seq line, a meta line,
+    /// one line per job record, a `{"transcript_bytes":N}` line, and
+    /// then exactly N raw transcript bytes, which end the document.
+    ///
+    /// A queued or running job's line carries its whole record. A
+    /// retired (completed, failed or rejected) job's line carries only
+    /// its name and status: once a job is terminal, nothing reads its
+    /// record but its status (`job_status`, the `ignored (already …)`
+    /// transcript lines, the status report's counts).
     ///
     /// The fleet's schedules are deliberately *not* serialized: the
     /// co-scheduler is a pure function of the resident descriptions, so
@@ -797,7 +804,7 @@ impl Daemon {
     /// schedule bits are the recovery contract, not profiling stats.
     pub fn checkpoint(&self) -> String {
         use crate::event::json_string;
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.transcript.len() + 64 * self.jobs.len() + 256);
         let _ = writeln!(
             out,
             "{{\"schema\":\"{}\",\"seq\":{}}}",
@@ -834,6 +841,12 @@ impl Daemon {
         for job in &self.jobs {
             out.push_str("{\"job\":");
             json_string(&mut out, &job.name);
+            if !job.is_live() {
+                out.push_str(",\"status\":\"");
+                out.push_str(job.status.tag());
+                out.push_str("\"}\n");
+                continue;
+            }
             out.push_str(",\"class\":");
             json_string(&mut out, &job.class);
             let _ = write!(
@@ -859,11 +872,11 @@ impl Daemon {
             }
             out.push_str("}\n");
         }
-        // The transcript is escaped straight into the document: it is
-        // most of a checkpoint's bytes, so no copy of it is built.
-        out.push_str("{\"transcript\":");
-        json_string(&mut out, &self.transcript);
-        out.push_str("}\n");
+        // The transcript goes in raw, after its length: it is most of a
+        // checkpoint's bytes, and escaping it into a JSON string would
+        // cost a pass over all of them on every checkpoint.
+        let _ = writeln!(out, "{{\"transcript_bytes\":{}}}", self.transcript.len());
+        out.push_str(&self.transcript);
         out
     }
 
@@ -872,7 +885,8 @@ impl Daemon {
     /// re-seated in slot order (slots compact to `0..k`, preserving the
     /// schedule-relative order that transcripts depend on) and every
     /// occupied machine is re-solved, yielding schedules bit-identical
-    /// to the checkpointed daemon's.
+    /// to the checkpointed daemon's. A retired job comes back with its
+    /// name and status only, the part of its record anything reads.
     pub fn restore(
         machines: Vec<MachineDescription>,
         catalog: ClassCatalog,
@@ -887,26 +901,35 @@ impl Daemon {
             key: &str,
             line: usize,
         ) -> Result<T, PandiaError> {
-            let n =
-                field(value, key).and_then(|v| v.as_u64()).ok_or_else(|| PandiaError::Serde {
-                    message: format!("checkpoint line {line}: missing integer field '{key}'"),
-                })?;
-            T::try_from(n).map_err(|_| PandiaError::Serde {
-                message: format!("checkpoint line {line}: field '{key}' out of range: {n}"),
-            })
+            let bad = |message: String| PandiaError::Serde { message };
+            let v = field(value, key).ok_or_else(|| {
+                bad(format!("checkpoint line {line}: missing integer field '{key}'"))
+            })?;
+            let n = v.as_u64().ok_or_else(|| {
+                bad(format!("checkpoint line {line}: field '{key}' is not an unsigned integer"))
+            })?;
+            T::try_from(n)
+                .map_err(|_| bad(format!("checkpoint line {line}: field '{key}' out of range: {n}")))
         }
 
         let mut daemon = Daemon::new(machines, catalog, config)?;
-        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let parse = |raw: (usize, &str)| -> Result<(usize, serde_json::Value), PandiaError> {
-            let (i, line) = raw;
-            serde_json::from_str(line.trim())
-                .map(|v| (i + 1, v))
-                .map_err(|e| bad(format!("checkpoint line {}: {e}", i + 1)))
+        // JSON lines run up to the `transcript_bytes` line; the raw
+        // transcript is everything after it.
+        let mut rest = text;
+        let mut lines_read = 0;
+        let mut next = |what: &str| -> Result<(usize, serde_json::Value), PandiaError> {
+            let (raw, tail) = rest
+                .split_once('\n')
+                .ok_or_else(|| bad(format!("checkpoint has no {what} line")))?;
+            rest = tail;
+            lines_read += 1;
+            let line = lines_read;
+            serde_json::from_str(raw)
+                .map(|v| (line, v))
+                .map_err(|e| bad(format!("checkpoint line {line}: {e}")))
         };
 
-        let (line, header) =
-            parse(lines.next().ok_or_else(|| bad("checkpoint is empty".into()))?)?;
+        let (line, header) = next("schema")?;
         let schema = str_field(&header, "schema", line)?;
         if schema != pandia_obs::schema::CHECKPOINT_SCHEMA {
             return Err(bad(format!(
@@ -916,8 +939,7 @@ impl Daemon {
         }
         let seq = uint(&header, "seq", line)?;
 
-        let (line, meta) =
-            parse(lines.next().ok_or_else(|| bad("checkpoint has no meta line".into()))?)?;
+        let (line, meta) = next("meta")?;
         let clock = uint(&meta, "clock", line)?;
         if clock != seq {
             return Err(bad(format!(
@@ -964,42 +986,42 @@ impl Daemon {
             .collect::<Option<Vec<usize>>>()
             .ok_or_else(|| bad(format!("checkpoint line {line}: bad queue id")))?;
 
-        // Job lines until the trailing transcript line.
-        let mut transcript: Option<String> = None;
+        // Job lines until the `transcript_bytes` line.
         let mut old_slots: Vec<(usize, usize)> = Vec::new(); // (old slot, job id)
-        for raw in lines {
-            let (line, value) = parse(raw)?;
-            if let Some(t) = field(&value, "transcript") {
-                let t = t
-                    .as_str()
-                    .ok_or_else(|| bad(format!("checkpoint line {line}: bad transcript")))?;
-                transcript = Some(t.to_string());
-                continue;
+        let transcript_bytes: usize = loop {
+            let (line, value) = next("transcript_bytes")?;
+            if field(&value, "transcript_bytes").is_some() {
+                break uint(&value, "transcript_bytes", line)?;
             }
             let name = str_field(&value, "job", line)?;
-            let class = str_field(&value, "class", line)?;
-            if !daemon.catalog.contains_key(&class) {
-                return Err(bad(format!(
-                    "checkpoint job '{name}' names unknown class '{class}'"
-                )));
-            }
             let status = str_field(&value, "status", line)?;
             let status = JobStatus::from_tag(&status)
                 .ok_or_else(|| bad(format!("checkpoint line {line}: bad status '{status}'")))?;
-            let mut record = JobRecord::new(&name, &class);
-            record.status = status;
-            record.attempts = uint(&value, "attempts", line)?;
-            record.priority = uint(&value, "priority", line)?;
-            record.enqueued_at = uint(&value, "enqueued_at", line)?;
-            record.not_before = uint(&value, "not_before", line)?;
-            if field(&value, "machine").is_some() {
-                record.machine = Some(uint(&value, "machine", line)?);
-            }
-            record.predicted_time =
-                field(&value, "predicted_bits").and_then(|v| v.as_u64()).map(f64::from_bits);
             let id = daemon.jobs.len();
-            if status == JobStatus::Running {
-                old_slots.push((uint(&value, "slot", line)?, id));
+            let mut record = JobRecord::new(&name, "");
+            record.status = status;
+            if record.is_live() {
+                let class = str_field(&value, "class", line)?;
+                if !daemon.catalog.contains_key(&class) {
+                    return Err(bad(format!(
+                        "checkpoint job '{name}' names unknown class '{class}'"
+                    )));
+                }
+                record.class = class;
+                record.attempts = uint(&value, "attempts", line)?;
+                record.priority = uint(&value, "priority", line)?;
+                record.enqueued_at = uint(&value, "enqueued_at", line)?;
+                record.not_before = uint(&value, "not_before", line)?;
+                if field(&value, "machine").is_some() {
+                    record.machine = Some(uint(&value, "machine", line)?);
+                }
+                if field(&value, "predicted_bits").is_some() {
+                    record.predicted_time =
+                        Some(f64::from_bits(uint(&value, "predicted_bits", line)?));
+                }
+                if status == JobStatus::Running {
+                    old_slots.push((uint(&value, "slot", line)?, id));
+                }
             }
             if daemon.index.insert(name, id).is_some() {
                 return Err(bad(format!(
@@ -1008,9 +1030,18 @@ impl Daemon {
                 )));
             }
             daemon.jobs.push(record);
+        };
+        // The trailer is the whole rest of the document. Comparing lengths
+        // instead of slicing by the count makes a count past the end or
+        // inside a character an error, not a panic.
+        if rest.len() != transcript_bytes {
+            return Err(bad(format!(
+                "checkpoint transcript trailer holds {} bytes but transcript_bytes is \
+                 {transcript_bytes}",
+                rest.len()
+            )));
         }
-        let transcript =
-            transcript.ok_or_else(|| bad("checkpoint has no transcript line".into()))?;
+        daemon.transcript = rest.to_string();
 
         // The queue must list every queued job exactly once: a repeat
         // would place the job twice, an omission would strand it.
@@ -1056,7 +1087,6 @@ impl Daemon {
             daemon.degraded = true;
             daemon.fleet.set_memo_capacity((daemon.config.memo_capacity / 2).max(1));
         }
-        daemon.transcript = transcript;
         daemon.last_checkpoint = Some(seq);
         Ok(daemon)
     }
@@ -1327,7 +1357,12 @@ mod tests {
         d.apply(&Event::Query).unwrap();
 
         let text = d.checkpoint();
-        assert!(text.starts_with("{\"schema\":\"pandia-checkpoint-v1\",\"seq\":12}"), "{text}");
+        assert!(text.starts_with("{\"schema\":\"pandia-checkpoint-v2\",\"seq\":12}\n"), "{text}");
+        // A retired job is its name and status; the transcript is the
+        // raw trailer after its byte count.
+        assert!(text.contains("\n{\"job\":\"j1\",\"status\":\"completed\"}\n"), "{text}");
+        let trailer = format!("\n{{\"transcript_bytes\":{}}}\n", d.transcript().len());
+        assert!(text.ends_with(&format!("{trailer}{}", d.transcript())), "{text}");
         let r = Daemon::restore(preset.machines, preset.catalog, config, &text).unwrap();
 
         assert_eq!(r.clock(), d.clock());
@@ -1366,31 +1401,72 @@ mod tests {
     fn restore_rejects_corrupt_checkpoints() {
         let preset = synthetic(2);
         let mk = || (preset.machines.clone(), preset.catalog.clone(), DaemonConfig::default());
-        let (m, c, cfg) = mk();
-        assert!(Daemon::restore(m, c, cfg, "").is_err());
-        let (m, c, cfg) = mk();
-        assert!(Daemon::restore(m, c, cfg, "{\"schema\":\"pandia-eventlog-v1\"}\n").is_err());
+        let expect_serde = |text: &str, why: &str| {
+            let (m, c, cfg) = mk();
+            match Daemon::restore(m, c, cfg, text) {
+                Err(PandiaError::Serde { message }) => assert!(message.contains(why), "{message}"),
+                other => panic!("{why}: expected a serde error, got {:?}", other.map(|_| ())),
+            }
+        };
+        expect_serde("", "no schema line");
+        expect_serde("{\"schema\":\"pandia-eventlog-v1\"}\n", "schema mismatch");
         // Valid header but a seq/clock mismatch.
-        let (m, c, cfg) = mk();
-        let bad = "{\"schema\":\"pandia-checkpoint-v1\",\"seq\":5}\n\
-                   {\"clock\":4,\"events\":0,\"submitted\":0,\"placed\":0,\"completed\":0,\
+        let meta = "{\"clock\":4,\"events\":0,\"submitted\":0,\"placed\":0,\"completed\":0,\
                     \"failed\":0,\"retries\":0,\"faulted\":0,\"reprofiles\":0,\"rejected\":0,\
                     \"shed\":0,\"reprofiles_done\":0,\"degraded\":false,\
-                    \"drift_streak\":[0,0],\"queue\":[]}\n\
-                   {\"transcript\":\"\"}\n";
-        assert!(Daemon::restore(m, c, cfg, bad).is_err());
+                    \"drift_streak\":[0,0],\"queue\":[]}\n";
+        let bad = format!(
+            "{{\"schema\":\"pandia-checkpoint-v2\",\"seq\":5}}\n{meta}{{\"transcript_bytes\":0}}\n"
+        );
+        expect_serde(&bad, "seq 5 disagrees with clock 4");
+        // The same document at seq 4 restores: only the mismatch failed.
+        let (m, c, cfg) = mk();
+        assert!(Daemon::restore(m, c, cfg, &bad.replace("\"seq\":5", "\"seq\":4")).is_ok());
 
-        // A real checkpoint of seven jobs on six slots: j0–j5 run, j6
-        // (job id 6) waits in the queue.
+        // A real checkpoint of eight jobs on six slots: j0–j5 run, j6
+        // (job id 6) waits in the queue, and `jé` (job id 7) completed
+        // while queued, so the transcript holds a two-byte character.
         let (m, c, cfg) = mk();
         let mut d = Daemon::new(m, c, cfg).unwrap();
         for i in 0..7 {
             d.apply(&submit(&format!("j{i}"), "cpu", 1)).unwrap();
         }
+        d.apply(&submit("jé", "cpu", 1)).unwrap();
+        d.apply(&Event::Complete { job: "jé".into(), elapsed: None }).unwrap();
         let good = d.checkpoint();
         assert!(good.contains("\"queue\":[6]"), "{good}");
         let (m, c, cfg) = mk();
         assert!(Daemon::restore(m, c, cfg, &good).is_ok());
+        // The document split around its `transcript_bytes` line.
+        let (head, tail) = good.split_once("{\"transcript_bytes\":").unwrap();
+        let transcript = tail.split_once('\n').unwrap().1;
+        assert_eq!(transcript, d.transcript());
+        let with_line = |line: &str| format!("{head}{line}\n{transcript}");
+        let with_count = |n: usize| with_line(&format!("{{\"transcript_bytes\":{n}}}"));
+        assert_eq!(with_count(transcript.len()), good);
+        // A byte count that ends inside `é`: slicing the trailer by it
+        // would panic.
+        let inside = transcript.find('é').unwrap() + 1;
+        assert!(!transcript.is_char_boundary(inside));
+        let v1 = "{\"schema\":\"pandia-checkpoint-v1\",\"seq\":0}\n\
+                  {\"clock\":0,\"events\":0,\"submitted\":0,\"placed\":0,\"completed\":0,\
+                   \"failed\":0,\"retries\":0,\"faulted\":0,\"reprofiles\":0,\"rejected\":0,\
+                   \"shed\":0,\"reprofiles_done\":0,\"degraded\":false,\
+                   \"drift_streak\":[0,0],\"queue\":[]}\n\
+                  {\"transcript\":\"\"}\n";
+        let running_bits = good
+            .split("\"predicted_bits\":")
+            .nth(1)
+            .and_then(|t| t.split('}').next())
+            .unwrap()
+            .to_string();
+        let with_bits = |bits: &str| {
+            good.replacen(
+                &format!("\"predicted_bits\":{running_bits}}}"),
+                &format!("\"predicted_bits\":{bits}}}"),
+                1,
+            )
+        };
         let corrupt = [
             // Integers that do not fit their fields, instead of truncating.
             (good.replacen("\"priority\":1", "\"priority\":300", 1), "out of range"),
@@ -1401,14 +1477,30 @@ mod tests {
             (good.replace("\"queue\":[6]", "\"queue\":[]"), "omits queued job 'j6'"),
             // Two records under one name.
             (good.replace("{\"job\":\"j6\"", "{\"job\":\"j5\""), "duplicate job 'j5'"),
+            // The trailer one byte short, and one byte long.
+            (good[..good.len() - 1].to_string(), "trailer holds"),
+            (format!("{good}\n"), "trailer holds"),
+            // A count inside a character, past the end, or not a number.
+            (with_count(inside), "trailer holds"),
+            (with_count(transcript.len() + 1), "trailer holds"),
+            (with_count(usize::MAX), "trailer holds"),
+            (with_line("{\"transcript_bytes\":\"x\"}"), "'transcript_bytes' is not an unsigned"),
+            (with_line("{\"transcript_bytes\":-1}"), "'transcript_bytes' is not an unsigned"),
+            // No `transcript_bytes` line: the raw transcript is read as a
+            // job line, or the document ends first.
+            (format!("{head}{transcript}"), "checkpoint line"),
+            (head.to_string(), "no transcript_bytes line"),
+            // A whole v1 document.
+            (v1.to_string(), "expected 'pandia-checkpoint-v2', got 'pandia-checkpoint-v1'"),
+            // A present `predicted_bits` that is not a u64.
+            (with_bits("\"x\""), "'predicted_bits' is not an unsigned"),
+            (with_bits("-1"), "'predicted_bits' is not an unsigned"),
+            (with_bits("1.5"), "'predicted_bits' is not an unsigned"),
+            (with_bits("null"), "'predicted_bits' is not an unsigned"),
         ];
         for (text, why) in &corrupt {
             assert_ne!(*text, good, "{why}: the case must corrupt the document");
-            let (m, c, cfg) = mk();
-            match Daemon::restore(m, c, cfg, text) {
-                Err(PandiaError::Serde { message }) => assert!(message.contains(why), "{message}"),
-                other => panic!("{why}: expected a serde error, got {:?}", other.map(|_| ())),
-            }
+            expect_serde(text, why);
         }
     }
 

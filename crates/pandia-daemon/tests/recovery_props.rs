@@ -10,10 +10,15 @@
 //! final records, simulating a crash before the batched fsync landed —
 //! those events are then re-consumed from the driving stream, which is
 //! exactly the recovery protocol's claim.
+//!
+//! A second property restores from a fresh checkpoint at every 8th
+//! event of generated overload streams, and requires the checkpoint
+//! format to be a fixed point of one restore.
 
 use pandia_core::FleetSchedule;
 use pandia_daemon::{
-    parse_journal, parse_log, synthetic_small, Daemon, DaemonConfig, Event, Journal, QueuePolicy,
+    generate_events_with_rate, parse_journal, parse_log, synthetic_small, Daemon, DaemonConfig,
+    Event, Journal, QueuePolicy, CHECKPOINT_SCHEMA,
 };
 use pandia_sim::FaultPlan;
 
@@ -205,4 +210,94 @@ fn checkpoint_alone_recovers_when_the_journal_is_gone() {
     let checkpoint = daemon.checkpoint();
     let recovered = recover(Some(&checkpoint), "{\"schema\":\"pandia-journal-v1\"}\n", &events);
     assert_same_state(&recovered, &oracle, "checkpoint-only");
+}
+
+/// Faults armed and a queue bounded at three, so that streams near or
+/// past the service rate reject at the door, shed (by deadline, and by
+/// overflow when a failed job re-queues onto a full queue), and back
+/// off faulted placements.
+fn overload_config() -> DaemonConfig {
+    DaemonConfig {
+        faults: FaultPlan::with_intensity(0.8),
+        queue: QueuePolicy { max_depth: 3, high_water: 3, deadline: Some(10) },
+        ..DaemonConfig::default()
+    }
+}
+
+/// A checkpoint with every `"slot":N` masked, and the slot numbers in
+/// document order.
+fn mask_slots(doc: &str) -> (String, Vec<usize>) {
+    const KEY: &str = "\"slot\":";
+    let mut masked = String::with_capacity(doc.len());
+    let mut slots = Vec::new();
+    let mut rest = doc;
+    while let Some(at) = rest.find(KEY) {
+        let (before, after) = rest.split_at(at + KEY.len());
+        let digits = after.bytes().take_while(u8::is_ascii_digit).count();
+        masked.push_str(before);
+        masked.push('_');
+        slots.push(after[..digits].parse().unwrap());
+        rest = &after[digits..];
+    }
+    masked.push_str(rest);
+    (masked, slots)
+}
+
+/// Each slot's rank among `slots`: the slots a restore compacts them to.
+fn compacted(slots: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..slots.len()).collect();
+    order.sort_by_key(|&i| slots[i]);
+    let mut ranks = vec![0; slots.len()];
+    for (rank, &i) in order.iter().enumerate() {
+        ranks[i] = rank;
+    }
+    ranks
+}
+
+#[test]
+fn restoring_every_eighth_event_matches_the_uninterrupted_run() {
+    let preset = synthetic_small(2);
+    let classes: Vec<&str> = preset.catalog.keys().map(String::as_str).collect();
+    let fresh = || {
+        Daemon::new(preset.machines.clone(), preset.catalog.clone(), overload_config()).unwrap()
+    };
+    let restore = |doc: &str| {
+        Daemon::restore(preset.machines.clone(), preset.catalog.clone(), overload_config(), doc)
+            .unwrap()
+    };
+    let mut compactions = 0;
+    for (seed, submit_bias) in [(1, 0.5), (2, 0.6), (3, 0.7), (4, 0.8)] {
+        let events = generate_events_with_rate(seed, 200, &classes, submit_bias);
+        let mut oracle = fresh();
+        oracle.run(&events).unwrap();
+        let audit = oracle.audit();
+        assert!(
+            audit.rejected > 0 && audit.shed > 0 && audit.faulted > 0,
+            "seed {seed}: the stream must reject, shed and fault: {audit:?}"
+        );
+        assert!(oracle.transcript().contains(" backoff="), "seed {seed}: no backoff");
+
+        let mut daemon = fresh();
+        for (i, event) in events.iter().enumerate() {
+            daemon.apply(event).unwrap();
+            if daemon.clock() % 8 != 0 {
+                continue;
+            }
+            let ctx = format!("seed {seed} event {i}");
+            let x = daemon.checkpoint();
+            assert!(x.starts_with(&format!("{{\"schema\":\"{CHECKPOINT_SCHEMA}\",")), "{ctx}");
+            let restored = restore(&x);
+            // Slot compaction is the only difference one restore makes,
+            // and it keeps the slots' order.
+            let y = restored.checkpoint();
+            let ((x_masked, x_slots), (y_masked, y_slots)) = (mask_slots(&x), mask_slots(&y));
+            assert_eq!(x_masked, y_masked, "{ctx}: a restore changed more than slots");
+            assert_eq!(y_slots, compacted(&x_slots), "{ctx}: slots did not compact in order");
+            compactions += usize::from(y_slots != x_slots);
+            assert_eq!(restore(&y).checkpoint(), y, "{ctx}: not a fixed point of restore");
+            daemon = restored;
+        }
+        assert_same_state(&daemon, &oracle, &format!("seed {seed}"));
+    }
+    assert!(compactions > 0, "no restore compacted a slot");
 }

@@ -39,8 +39,10 @@ pub const JOURNAL_SCHEMA: &str = "pandia-journal-v1";
 
 /// Periodic fleet-state checkpoints (`pandiad --checkpoint`), first
 /// line. A checkpoint plus the journal tail reconstructs a byte-identical
-/// daemon state after a crash.
-pub const CHECKPOINT_SCHEMA: &str = "pandia-checkpoint-v1";
+/// daemon state after a crash. v2 writes a retired job as its name and
+/// status only, and the transcript as a raw trailer after its byte
+/// count.
+pub const CHECKPOINT_SCHEMA: &str = "pandia-checkpoint-v2";
 
 /// Offline attribution reports (`pandia_report --json`), top-level
 /// `schema` field.
