@@ -26,6 +26,7 @@
 //! directly checkable: it re-runs every occupied machine fresh on every
 //! event and must produce byte-identical [`FleetSchedule`]s.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pandia_topology::Placement;
@@ -303,9 +304,12 @@ pub struct IncrementalFleet {
     machines: Vec<MachineDescription>,
     exec: ExecContext,
     incremental: bool,
-    /// Slot table; departed jobs leave `None` (slots are never reused, so
-    /// a slot id is a stable job identity for the fleet's lifetime).
-    jobs: Vec<Option<FleetJob>>,
+    /// Live jobs by slot id. Slot ids are never reused, so a slot id is
+    /// a stable job identity for the fleet's lifetime; a departed job's
+    /// entry is removed.
+    jobs: BTreeMap<usize, FleetJob>,
+    /// The slot id the next admission gets.
+    next_slot: usize,
     /// Resident slots per machine, in arrival order.
     residents: Vec<Vec<usize>>,
     /// The current co-schedule per machine (`None` when idle), shared
@@ -333,7 +337,8 @@ impl IncrementalFleet {
             machines,
             exec: ExecContext::serial(),
             incremental: true,
-            jobs: Vec::new(),
+            jobs: BTreeMap::new(),
+            next_slot: 0,
             residents: vec![Vec::new(); n],
             current: vec![None; n],
             memo: SolveMemo::new(),
@@ -398,7 +403,7 @@ impl IncrementalFleet {
 
     /// Number of jobs currently admitted.
     pub fn active_jobs(&self) -> usize {
-        self.jobs.iter().flatten().count()
+        self.jobs.len()
     }
 
     /// Whether at least one machine can host another job.
@@ -413,7 +418,7 @@ impl IncrementalFleet {
 
     /// The machine currently hosting a slot, if the slot is live.
     pub fn job_machine(&self, slot: usize) -> Option<usize> {
-        self.jobs.get(slot).and_then(|j| j.as_ref()).map(|j| j.machine)
+        self.jobs.get(&slot).map(|j| j.machine)
     }
 
     /// Drops every memoized solve for one machine, forcing fresh
@@ -469,7 +474,7 @@ impl IncrementalFleet {
     /// The memo key and description list for a machine's residents, with
     /// `extra` (an arriving candidate) appended when given.
     fn machine_inputs<'j>(
-        jobs: &'j [Option<FleetJob>],
+        jobs: &'j BTreeMap<usize, FleetJob>,
         residents: &[usize],
         machine_index: usize,
         extra: Option<(&str, &'j WorkloadDescription)>,
@@ -477,7 +482,7 @@ impl IncrementalFleet {
         let mut key = Vec::with_capacity(residents.len() + 1);
         let mut descs = Vec::with_capacity(residents.len() + 1);
         for &slot in residents {
-            let job = jobs.get(slot).and_then(|j| j.as_ref()).ok_or_else(|| {
+            let job = jobs.get(&slot).ok_or_else(|| {
                 PandiaError::Mismatch { reason: format!("fleet lost job slot {slot}") }
             })?;
             key.push(job.class.clone());
@@ -576,13 +581,10 @@ impl IncrementalFleet {
             }
         }
         let Some((m, schedule, _)) = best else { return Ok(None) };
-        let slot = self.jobs.len();
-        self.jobs.push(Some(FleetJob {
-            name: name.to_string(),
-            class: class.to_string(),
-            descriptions,
-            machine: m,
-        }));
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        let (name, class) = (name.to_string(), class.to_string());
+        self.jobs.insert(slot, FleetJob { name, class, descriptions, machine: m });
         self.residents[m].push(slot);
         let idx = self.residents[m].len() - 1;
         let admission = Admission {
@@ -611,7 +613,7 @@ impl IncrementalFleet {
         &mut self,
         live: Vec<(String, String, usize, Vec<WorkloadDescription>)>,
     ) -> Result<Vec<usize>, PandiaError> {
-        if !self.jobs.is_empty() {
+        if self.next_slot > 0 {
             return Err(PandiaError::Mismatch {
                 reason: "restore_jobs requires an empty fleet".into(),
             });
@@ -640,8 +642,9 @@ impl IncrementalFleet {
                     reason: format!("restored machine {machine} is over-assigned"),
                 });
             }
-            let slot = self.jobs.len();
-            self.jobs.push(Some(FleetJob { name, class, descriptions, machine }));
+            let slot = self.next_slot;
+            self.next_slot += 1;
+            self.jobs.insert(slot, FleetJob { name, class, descriptions, machine });
             self.residents[machine].push(slot);
             slots.push(slot);
         }
@@ -652,7 +655,7 @@ impl IncrementalFleet {
     /// Removes a job (completion or failure), re-solving only its
     /// machine. Returns the machine index the job was on.
     pub fn depart(&mut self, slot: usize) -> Result<usize, PandiaError> {
-        let job = self.jobs.get_mut(slot).and_then(Option::take).ok_or_else(|| {
+        let job = self.jobs.remove(&slot).ok_or_else(|| {
             PandiaError::Mismatch { reason: format!("no live job in fleet slot {slot}") }
         })?;
         let m = job.machine;
@@ -666,8 +669,7 @@ impl IncrementalFleet {
     pub fn schedule(&self) -> Result<FleetSchedule, PandiaError> {
         let mut assignments = Vec::new();
         let mut placements = Vec::new();
-        for (slot, job) in self.jobs.iter().enumerate() {
-            let Some(job) = job else { continue };
+        for (&slot, job) in &self.jobs {
             let m = job.machine;
             let schedule = self.current[m].as_ref().ok_or_else(|| {
                 PandiaError::Mismatch {
@@ -981,5 +983,28 @@ mod tests {
         let empty = fleet.schedule().unwrap();
         assert!(empty.assignments.is_empty());
         assert_eq!(empty.makespan.to_bits(), 0.0_f64.to_bits());
+    }
+
+    #[test]
+    fn slot_table_holds_exactly_the_live_jobs() {
+        let machines = vec![small_machine(), big_machine()];
+        let j = job("w", 4.0, 1.0, 60.0);
+        let mut fleet = IncrementalFleet::new(machines).unwrap();
+        let mut live: Vec<usize> = Vec::new();
+        for step in 0..12usize {
+            if step % 3 == 2 {
+                // Every third step departs the oldest live job.
+                fleet.depart(live.remove(0)).unwrap();
+            } else {
+                let a = fleet.admit(&format!("j{step}"), "w", everywhere(&j, 2)).unwrap().unwrap();
+                assert!(live.iter().all(|&s| s < a.slot), "slot ids only grow");
+                live.push(a.slot);
+            }
+            let table: Vec<usize> = fleet.jobs.keys().copied().collect();
+            assert_eq!(table, live, "step {step}");
+            assert_eq!(fleet.active_jobs(), live.len());
+            assert_eq!(fleet.schedule().unwrap().assignments.len(), live.len(), "step {step}");
+        }
+        assert_eq!(fleet.next_slot, 8, "eight admissions");
     }
 }

@@ -12,8 +12,8 @@
 //!   --machines a,b,..     real machine presets (x5-2, x4-2, x3-2, x2-4)
 //!   --classes a,b,..      workload classes for --machines (default EP,CG,FT)
 //!   --batch               from-scratch batch re-solve (oracle mode)
-//!   --faults INTENSITY    arm the fault plan (0.0..1.0)
-//!   --retries N           placement attempts per job (default 3)
+//!   --faults INTENSITY    arm the fault plan (0.0..1.0); a job gets 3
+//!                         attempts, faulted ones back off 1, 2, 4, 8 events
 //!   --drift               enable drift detection (reactive policy)
 //!   --jobs N              co-schedule search workers (default 1)
 //!   --quiet               suppress the transcript on stdout
@@ -43,20 +43,20 @@
 //!   --high-water N        shed down to N queued jobs; crossing N enters
 //!                         degraded mode (memo capacity halves)
 //!   --deadline N          shed queued jobs waiting more than N events
-//!   --backoff-base N      first faulted-retry delay, in events (default 1)
-//!   --backoff-cap N       max backoff delay, in events (default 8)
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use pandia_core::{DriftPolicy, ExecContext};
 use pandia_daemon::{
-    generate_events, parse_journal, parse_log, presets, write_checkpoint, Daemon, DaemonConfig,
-    FleetPreset, Journal, QueuePolicy, RetryPolicy,
+    generate_events, parse_log, presets, write_checkpoint, Daemon, DaemonConfig, FleetPreset,
+    Journal, QueuePolicy,
 };
 use pandia_sim::FaultPlan;
 
 /// Parsed command line.
+#[derive(Default)]
 struct Options {
     replay: Option<String>,
     generate: Option<usize>,
@@ -66,7 +66,6 @@ struct Options {
     classes: Vec<String>,
     batch: bool,
     faults: f64,
-    retries: u32,
     drift: bool,
     jobs: usize,
     quiet: bool,
@@ -83,205 +82,73 @@ struct Options {
     checkpoint_interval: usize,
     recover: bool,
     crash_at: Option<usize>,
-    queue_depth: Option<usize>,
-    high_water: Option<usize>,
-    deadline: Option<u64>,
-    backoff_base: Option<u64>,
-    backoff_cap: Option<u64>,
+    queue: QueuePolicy,
+}
+
+/// Takes the value that follows `flag`.
+fn value(rest: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
+    rest.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Takes and parses the value that follows `flag`.
+fn parsed<T: std::str::FromStr>(
+    rest: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = value(rest, flag)?;
+    v.parse().map_err(|_| format!("bad {flag} '{v}'"))
+}
+
+/// Takes a count that follows `flag` and must be at least 1.
+fn positive(rest: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
+    match parsed(rest, flag)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
-        replay: None,
-        generate: None,
         seed: 7,
         synthetic: 4,
-        machines: None,
         classes: vec!["EP".into(), "CG".into(), "FT".into()],
-        batch: false,
-        faults: 0.0,
-        retries: 3,
-        drift: false,
         jobs: 1,
-        quiet: false,
-        log_out: None,
-        transcript_out: None,
-        trace_out: None,
-        metrics_out: None,
-        events_out: None,
-        metrics_interval: None,
-        snapshots_out: None,
-        journal: None,
         journal_sync: 16,
-        checkpoint: None,
         checkpoint_interval: 64,
-        recover: false,
-        crash_at: None,
-        queue_depth: None,
-        high_water: None,
-        deadline: None,
-        backoff_base: None,
-        backoff_cap: None,
+        ..Options::default()
     };
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1).cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--replay" => {
-                opts.replay = Some(value(args, i, "--replay")?);
-                i += 2;
-            }
-            "--generate" => {
-                let v = value(args, i, "--generate")?;
-                opts.generate =
-                    Some(v.parse().map_err(|_| format!("bad --generate '{v}'"))?);
-                i += 2;
-            }
-            "--seed" => {
-                let v = value(args, i, "--seed")?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
-                i += 2;
-            }
-            "--synthetic" => {
-                let v = value(args, i, "--synthetic")?;
-                opts.synthetic = v.parse().map_err(|_| format!("bad --synthetic '{v}'"))?;
-                i += 2;
-            }
-            "--machines" => {
-                let v = value(args, i, "--machines")?;
-                opts.machines = Some(v.split(',').map(|s| s.trim().to_string()).collect());
-                i += 2;
-            }
-            "--classes" => {
-                let v = value(args, i, "--classes")?;
-                opts.classes = v.split(',').map(|s| s.trim().to_string()).collect();
-                i += 2;
-            }
-            "--batch" => {
-                opts.batch = true;
-                i += 1;
-            }
-            "--faults" => {
-                let v = value(args, i, "--faults")?;
-                opts.faults = v.parse().map_err(|_| format!("bad --faults '{v}'"))?;
-                i += 2;
-            }
-            "--retries" => {
-                let v = value(args, i, "--retries")?;
-                opts.retries = v.parse().map_err(|_| format!("bad --retries '{v}'"))?;
-                i += 2;
-            }
-            "--drift" => {
-                opts.drift = true;
-                i += 1;
-            }
-            "--jobs" | "-j" => {
-                let v = value(args, i, "--jobs")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
-                i += 2;
-            }
-            "--quiet" => {
-                opts.quiet = true;
-                i += 1;
-            }
-            "--log-out" => {
-                opts.log_out = Some(value(args, i, "--log-out")?);
-                i += 2;
-            }
-            "--transcript-out" => {
-                opts.transcript_out = Some(value(args, i, "--transcript-out")?);
-                i += 2;
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(value(args, i, "--trace-out")?);
-                i += 2;
-            }
-            "--metrics-out" => {
-                opts.metrics_out = Some(value(args, i, "--metrics-out")?);
-                i += 2;
-            }
-            "--events-out" => {
-                opts.events_out = Some(value(args, i, "--events-out")?);
-                i += 2;
-            }
-            "--metrics-interval" => {
-                let v = value(args, i, "--metrics-interval")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("bad --metrics-interval '{v}'"))?;
-                if n == 0 {
-                    return Err("--metrics-interval must be at least 1".into());
-                }
-                opts.metrics_interval = Some(n);
-                i += 2;
-            }
-            "--snapshots-out" => {
-                opts.snapshots_out = Some(value(args, i, "--snapshots-out")?);
-                i += 2;
-            }
-            "--journal" => {
-                opts.journal = Some(value(args, i, "--journal")?);
-                i += 2;
-            }
-            "--journal-sync" => {
-                let v = value(args, i, "--journal-sync")?;
-                opts.journal_sync =
-                    v.parse().map_err(|_| format!("bad --journal-sync '{v}'"))?;
-                i += 2;
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(value(args, i, "--checkpoint")?);
-                i += 2;
-            }
-            "--checkpoint-interval" => {
-                let v = value(args, i, "--checkpoint-interval")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("bad --checkpoint-interval '{v}'"))?;
-                if n == 0 {
-                    return Err("--checkpoint-interval must be at least 1".into());
-                }
-                opts.checkpoint_interval = n;
-                i += 2;
-            }
-            "--recover" => {
-                opts.recover = true;
-                i += 1;
-            }
-            "--crash-at" => {
-                let v = value(args, i, "--crash-at")?;
-                opts.crash_at = Some(v.parse().map_err(|_| format!("bad --crash-at '{v}'"))?);
-                i += 2;
-            }
-            "--queue-depth" => {
-                let v = value(args, i, "--queue-depth")?;
-                opts.queue_depth =
-                    Some(v.parse().map_err(|_| format!("bad --queue-depth '{v}'"))?);
-                i += 2;
-            }
-            "--high-water" => {
-                let v = value(args, i, "--high-water")?;
-                opts.high_water =
-                    Some(v.parse().map_err(|_| format!("bad --high-water '{v}'"))?);
-                i += 2;
-            }
-            "--deadline" => {
-                let v = value(args, i, "--deadline")?;
-                opts.deadline = Some(v.parse().map_err(|_| format!("bad --deadline '{v}'"))?);
-                i += 2;
-            }
-            "--backoff-base" => {
-                let v = value(args, i, "--backoff-base")?;
-                opts.backoff_base =
-                    Some(v.parse().map_err(|_| format!("bad --backoff-base '{v}'"))?);
-                i += 2;
-            }
-            "--backoff-cap" => {
-                let v = value(args, i, "--backoff-cap")?;
-                opts.backoff_cap =
-                    Some(v.parse().map_err(|_| format!("bad --backoff-cap '{v}'"))?);
-                i += 2;
-            }
+    let list = |v: String| v.split(',').map(|s| s.trim().to_string()).collect();
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let r = &mut rest;
+        match flag.as_str() {
+            "--replay" => opts.replay = Some(value(r, flag)?),
+            "--generate" => opts.generate = Some(parsed(r, flag)?),
+            "--seed" => opts.seed = parsed(r, flag)?,
+            "--synthetic" => opts.synthetic = parsed(r, flag)?,
+            "--machines" => opts.machines = Some(list(value(r, flag)?)),
+            "--classes" => opts.classes = list(value(r, flag)?),
+            "--batch" => opts.batch = true,
+            "--faults" => opts.faults = parsed(r, flag)?,
+            "--drift" => opts.drift = true,
+            "--jobs" | "-j" => opts.jobs = parsed(r, "--jobs")?,
+            "--quiet" => opts.quiet = true,
+            "--log-out" => opts.log_out = Some(value(r, flag)?),
+            "--transcript-out" => opts.transcript_out = Some(value(r, flag)?),
+            "--trace-out" => opts.trace_out = Some(value(r, flag)?),
+            "--metrics-out" => opts.metrics_out = Some(value(r, flag)?),
+            "--events-out" => opts.events_out = Some(value(r, flag)?),
+            "--metrics-interval" => opts.metrics_interval = Some(positive(r, flag)?),
+            "--snapshots-out" => opts.snapshots_out = Some(value(r, flag)?),
+            "--journal" => opts.journal = Some(value(r, flag)?),
+            "--journal-sync" => opts.journal_sync = parsed(r, flag)?,
+            "--checkpoint" => opts.checkpoint = Some(value(r, flag)?),
+            "--checkpoint-interval" => opts.checkpoint_interval = positive(r, flag)?,
+            "--recover" => opts.recover = true,
+            "--crash-at" => opts.crash_at = Some(parsed(r, flag)?),
+            "--queue-depth" => opts.queue.max_depth = parsed(r, flag)?,
+            "--high-water" => opts.queue.high_water = parsed(r, flag)?,
+            "--deadline" => opts.queue.deadline = Some(parsed(r, flag)?),
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -290,29 +157,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err("need --replay FILE or --generate N".into());
     }
     Ok(opts)
-}
-
-/// Where heartbeat snapshot lines go: an appended file or stderr.
-enum SnapshotSink {
-    File(std::io::BufWriter<std::fs::File>),
-    Stderr,
-}
-
-impl SnapshotSink {
-    fn emit(&mut self, line: &str) -> Result<(), String> {
-        use std::io::Write;
-        match self {
-            // Flush per line so a long-lived daemon's heartbeats are
-            // tailable, not stuck in the writer's buffer.
-            SnapshotSink::File(w) => writeln!(w, "{line}")
-                .and_then(|()| w.flush())
-                .map_err(|e| format!("--snapshots-out: {e}")),
-            SnapshotSink::Stderr => {
-                eprintln!("{line}");
-                Ok(())
-            }
-        }
-    }
 }
 
 fn run(opts: &Options) -> Result<(), String> {
@@ -325,14 +169,21 @@ fn run(opts: &Options) -> Result<(), String> {
     if telemetry {
         pandia_obs::install();
     }
-    let mut snapshots = match (&opts.metrics_interval, &opts.snapshots_out) {
-        (None, _) => None,
-        (Some(_), None) => Some(SnapshotSink::Stderr),
-        (Some(_), Some(path)) => {
+    // Heartbeats go to --snapshots-out or stderr, flushed per line so a
+    // long-lived daemon's heartbeats are tailable.
+    let mut snapshots: Option<Box<dyn Write>> = match &opts.snapshots_out {
+        _ if opts.metrics_interval.is_none() => None,
+        None => Some(Box::new(std::io::stderr())),
+        Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot open --snapshots-out {path}: {e}"))?;
-            Some(SnapshotSink::File(std::io::BufWriter::new(file)))
+            Some(Box::new(std::io::BufWriter::new(file)))
         }
+    };
+    let emit = |sink: &mut Box<dyn Write>, daemon: &Daemon| {
+        writeln!(sink, "{}", daemon.snapshot_line())
+            .and_then(|()| sink.flush())
+            .map_err(|e| format!("--snapshots-out: {e}"))
     };
     let mut stream = match &opts.events_out {
         Some(path) => Some(
@@ -368,21 +219,6 @@ fn run(opts: &Options) -> Result<(), String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
 
-    let mut queue = QueuePolicy::default();
-    if let Some(depth) = opts.queue_depth {
-        queue.max_depth = depth;
-    }
-    if let Some(high) = opts.high_water {
-        queue.high_water = high;
-    }
-    queue.deadline = opts.deadline;
-    let mut retry = RetryPolicy::default();
-    if let Some(base) = opts.backoff_base {
-        retry.backoff_base = base;
-    }
-    if let Some(cap) = opts.backoff_cap {
-        retry.backoff_cap = cap;
-    }
     let config = DaemonConfig {
         seed: opts.seed,
         faults: if opts.faults > 0.0 {
@@ -390,51 +226,33 @@ fn run(opts: &Options) -> Result<(), String> {
         } else {
             FaultPlan::none()
         },
-        max_attempts: opts.retries,
         drift: if opts.drift { DriftPolicy::reactive() } else { DriftPolicy::default() },
         incremental: !opts.batch,
         exec: ExecContext::new(opts.jobs),
-        queue,
-        retry,
+        queue: opts.queue,
         ..DaemonConfig::default()
     };
 
-    // Recovery: newest checkpoint (if any), then the journal tail past
-    // it, then the rest of the driving stream. The daemon's determinism
-    // makes the journal tail and the stream interchangeable for the
-    // events both carry — replay simply starts from the restored clock.
-    let mut daemon = match (opts.recover, &opts.checkpoint) {
-        (true, Some(path)) if std::path::Path::new(path).exists() => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read --checkpoint {path}: {e}"))?;
-            Daemon::restore(preset.machines, preset.catalog, config, &text)
-                .map_err(|e| format!("restore {path}: {e:?}"))?
-        }
-        _ => Daemon::new(preset.machines, preset.catalog, config)
-            .map_err(|e| format!("{e:?}"))?,
+    // Recovery: the newest checkpoint and the journal tail past it, when
+    // their files exist, then the rest of the driving stream. The
+    // daemon's determinism makes the journal tail and the stream
+    // interchangeable for the events both carry — replay simply starts
+    // from the recovered clock.
+    let mut daemon = if opts.recover {
+        let read = |path: &Option<String>, flag: &str| match path {
+            Some(path) if std::path::Path::new(path).exists() => std::fs::read_to_string(path)
+                .map(Some)
+                .map_err(|e| format!("cannot read {flag} {path}: {e}")),
+            _ => Ok(None),
+        };
+        let checkpoint = read(&opts.checkpoint, "--checkpoint")?;
+        let journal = read(&opts.journal, "--journal")?;
+        let (checkpoint, journal) = (checkpoint.as_deref(), journal.as_deref());
+        Daemon::recover(preset.machines, preset.catalog, config, checkpoint, journal)
+            .map_err(|e| format!("recover: {e:?}"))?
+    } else {
+        Daemon::new(preset.machines, preset.catalog, config).map_err(|e| format!("{e:?}"))?
     };
-    if opts.recover {
-        if let Some(path) = &opts.journal {
-            if std::path::Path::new(path).exists() {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read --journal {path}: {e}"))?;
-                for (seq, event) in
-                    parse_journal(&text).map_err(|e| format!("journal {path}: {e:?}"))?
-                {
-                    if seq < daemon.clock() {
-                        continue; // already covered by the checkpoint
-                    }
-                    if seq != daemon.clock() {
-                        return Err(format!(
-                            "journal {path}: tail starts at seq {seq}, daemon clock is {}",
-                            daemon.clock()
-                        ));
-                    }
-                    daemon.apply(&event).map_err(|e| format!("journal seq {seq}: {e:?}"))?;
-                }
-            }
-        }
-    }
 
     // (Re)create the journal after recovery: the old journal's work is
     // folded into the fresh checkpoint below, so the new journal starts
@@ -489,7 +307,7 @@ fn run(opts: &Options) -> Result<(), String> {
         }
         if let (Some(sink), Some(interval)) = (snapshots.as_mut(), opts.metrics_interval) {
             if (i + 1) % interval == 0 {
-                sink.emit(&daemon.snapshot_line())?;
+                emit(sink, &daemon)?;
             }
         }
     }
@@ -500,27 +318,15 @@ fn run(opts: &Options) -> Result<(), String> {
     // A final heartbeat so short streams (fewer events than the
     // interval) still produce at least one snapshot.
     if let Some(sink) = snapshots.as_mut() {
-        sink.emit(&daemon.snapshot_line())?;
+        emit(sink, &daemon)?;
     }
 
     if !opts.quiet {
         print!("{}", daemon.transcript());
-        let audit = daemon.audit();
+        let audit: Vec<String> =
+            daemon.audit().fields().iter().map(|(name, n)| format!("{name}={n}")).collect();
+        println!("audit: {}", audit.join(" "));
         let stats = daemon.fleet_stats();
-        println!(
-            "audit: events={} submitted={} placed={} completed={} failed={} retries={} \
-             faulted={} reprofiles={} rejected={} shed={}",
-            audit.events,
-            audit.submitted,
-            audit.placed,
-            audit.completed,
-            audit.failed,
-            audit.retries,
-            audit.faulted,
-            audit.reprofiles,
-            audit.rejected,
-            audit.shed
-        );
         println!(
             "fleet: resolves={} skipped={} ({:.1}% skipped)",
             stats.resolves,
@@ -551,22 +357,15 @@ fn run(opts: &Options) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(opts) => match run(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("pandiad: {e}");
-                ExitCode::from(2)
-            }
-        },
+    match parse_args(&args).and_then(|opts| run(&opts)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e == "help" => {
+            eprintln!("see crate docs: pandiad --replay FILE | --generate N [options]");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
-            if e == "help" {
-                eprintln!("see crate docs: pandiad --replay FILE | --generate N [options]");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("pandiad: {e}");
-                ExitCode::from(2)
-            }
+            eprintln!("pandiad: {e}");
+            ExitCode::from(2)
         }
     }
 }

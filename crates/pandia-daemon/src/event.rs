@@ -207,7 +207,12 @@ pub(crate) fn parse_event(value: &serde_json::Value, line: usize) -> Result<Even
         }),
         "complete" => Ok(Event::Complete {
             job: str_field(value, "job", line)?,
-            elapsed: field(value, "elapsed").and_then(|v| v.as_f64()),
+            elapsed: match field(value, "elapsed") {
+                None => None,
+                Some(v) => Some(v.as_f64().ok_or_else(|| PandiaError::Serde {
+                    message: format!("event log line {line}: 'elapsed' must be a number"),
+                })?),
+            },
         }),
         "fail" => Ok(Event::Fail { job: str_field(value, "job", line)? }),
         "query" => Ok(Event::Query),
@@ -355,5 +360,20 @@ mod tests {
         assert!(format!("{err:?}").contains("class"), "error should name the field: {err:?}");
         let unknown = "{\"schema\":\"pandia-eventlog-v1\"}\n{\"event\":\"explode\"}\n";
         assert!(parse_log(unknown).is_err());
+        // A present `elapsed` must be a number: anything else would skip
+        // the completion's drift check unseen.
+        for elapsed in ["\"x\"", "null", "true"] {
+            let log = format!(
+                "{{\"schema\":\"pandia-eventlog-v1\"}}\n\
+                 {{\"event\":\"complete\",\"job\":\"a\",\"elapsed\":{elapsed}}}\n"
+            );
+            match parse_log(&log) {
+                Err(PandiaError::Serde { message }) => assert_eq!(
+                    message, "event log line 2: 'elapsed' must be a number",
+                    "elapsed {elapsed}"
+                ),
+                other => panic!("elapsed {elapsed}: expected a serde error, got {other:?}"),
+            }
+        }
     }
 }

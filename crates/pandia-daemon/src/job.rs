@@ -2,7 +2,8 @@
 //!
 //! Every submitted job moves through the explicit lifecycle
 //! `queued → running → completed/failed` (with `running → queued` on a
-//! retried failure). The daemon keeps one [`JobRecord`] per submission
+//! retried failure), and a queued job may end `rejected` by load
+//! shedding. The daemon keeps one [`JobRecord`] per submission
 //! for its whole life — records are never dropped, so the audit trail
 //! can always account for every job the service ever saw. A daemon
 //! restored from a checkpoint holds a terminal job's name and status
@@ -19,9 +20,12 @@ pub enum JobStatus {
     Completed,
     /// Exhausted its attempt budget.
     Failed,
-    /// Never admitted: the submission queue was full, or load shedding
-    /// dropped it before placement. Terminal, like `Failed`, but
-    /// distinguishable so callers can resubmit rather than debug.
+    /// Refused at the door (the submission queue was full), or dropped
+    /// from the queue by load shedding. Shedding takes only queue
+    /// members, but a retry is one: a running job that fails is
+    /// re-queued, and the same event may shed it, after its `fail`
+    /// transcript line. Terminal, like `Failed`, but distinguishable so
+    /// callers can resubmit rather than debug.
     Rejected,
 }
 
@@ -62,10 +66,8 @@ pub struct JobRecord {
     /// Placement attempts so far (both faulted placements and external
     /// failures count).
     pub attempts: u32,
-    /// Fleet slot while running.
+    /// Fleet slot while running; the fleet knows the hosting machine.
     pub slot: Option<usize>,
-    /// Hosting machine index while running.
-    pub machine: Option<usize>,
     /// Predicted completion time at the most recent placement.
     pub predicted_time: Option<f64>,
     /// Shedding priority from the submit event (higher survives longer).
@@ -87,7 +89,6 @@ impl JobRecord {
             status: JobStatus::Queued,
             attempts: 0,
             slot: None,
-            machine: None,
             predicted_time: None,
             priority: 0,
             enqueued_at: 0,

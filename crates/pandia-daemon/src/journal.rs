@@ -255,5 +255,19 @@ mod tests {
 
         assert!(parse_journal("").is_err());
         assert!(parse_journal("{\"schema\":\"pandia-eventlog-v1\"}\n").is_err());
+
+        // A completion whose `elapsed` is not a number is corruption on
+        // a non-final line, and a torn write (dropped) on the final one.
+        let bad_elapsed =
+            "{\"seq\":2,\"entry\":{\"event\":\"complete\",\"job\":\"a\",\"elapsed\":\"x\"}}\n";
+        let query = "{\"seq\":3,\"entry\":{\"event\":\"query\"}}\n";
+        let mid = format!("{intact}{bad_elapsed}{query}");
+        match parse_journal(&mid) {
+            Err(PandiaError::Serde { message }) => {
+                assert_eq!(message, "event log line 4: 'elapsed' must be a number")
+            }
+            other => panic!("expected a serde error, got {other:?}"),
+        }
+        assert_eq!(parse_journal(&format!("{intact}{bad_elapsed}")).unwrap().len(), 2);
     }
 }

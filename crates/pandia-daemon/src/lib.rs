@@ -27,13 +27,14 @@
 //! and live `--events-out` span streaming).
 //!
 //! The daemon is crash-safe and overload-safe: a write-ahead [`Journal`]
-//! plus periodic checkpoints ([`Daemon::checkpoint`] /
-//! [`Daemon::restore`], schemas `pandia-journal-v1` /
-//! `pandia-checkpoint-v2`) let a killed `pandiad` restart into a
-//! byte-identical state, while [`QueuePolicy`] bounds the submission
+//! plus periodic checkpoints ([`Daemon::checkpoint`], schemas
+//! `pandia-journal-v1` / `pandia-checkpoint-v2`) let a killed `pandiad`
+//! restart into a byte-identical state through one fold,
+//! [`Daemon::recover`], while [`QueuePolicy`] bounds the submission
 //! queue (explicit rejections, deadline and overflow shedding, degraded
-//! mode halving the fleet memo) and [`RetryPolicy`] spreads faulted
-//! placements over capped exponential backoff in event time.
+//! mode halving the fleet memo). One fixed retry rule gives each job
+//! three placement attempts and spreads faulted ones over capped
+//! exponential backoff in event time (1, 2, 4, then 8 events).
 
 pub mod event;
 pub mod job;
@@ -46,5 +47,5 @@ pub use event::{parse_log, render_log, Event, EVENTLOG_SCHEMA};
 pub use job::{JobRecord, JobStatus};
 pub use journal::{parse_journal, write_checkpoint, Journal, CHECKPOINT_SCHEMA, JOURNAL_SCHEMA};
 pub use presets::{profiled, synthetic, synthetic_small, FleetPreset, SYNTHETIC_CLASSES};
-pub use service::{ClassCatalog, Daemon, DaemonAudit, DaemonConfig, QueuePolicy, RetryPolicy};
+pub use service::{ClassCatalog, Daemon, DaemonAudit, DaemonConfig, QueuePolicy};
 pub use stream::{generate_events, generate_events_with_rate};

@@ -38,8 +38,8 @@ pub type ClassCatalog = BTreeMap<String, Vec<WorkloadDescription>>;
 /// byte — overload protection is strictly opt-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuePolicy {
-    /// Maximum queued (not running) jobs; submissions beyond this are
-    /// rejected at the door with an explicit `rejected` transition.
+    /// Queued jobs at which submissions are rejected at the door. A retry
+    /// re-enters the queue without admission, so it may exceed this.
     pub max_depth: usize,
     /// Queue depth above which (a) overflow shedding drops the
     /// lowest-priority queued jobs back down to the mark and (b) the
@@ -56,37 +56,24 @@ impl Default for QueuePolicy {
     }
 }
 
-/// Capped exponential backoff for faulted placements, measured in
-/// logical event time: attempt `k` (1-based) waits
-/// `min(cap, base << (k-1))` ticks (at least 1) before redispatch.
-/// Replaces the old same-event "retry storm", which burned the whole
-/// attempt budget inside a single fault burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// First-retry delay in events.
-    pub backoff_base: u64,
-    /// Upper bound on any single delay, in events.
-    pub backoff_cap: u64,
-}
+/// Placement attempts per job, faulted and externally failed ones
+/// alike, before the job is marked failed.
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { backoff_base: 1, backoff_cap: 8 }
-    }
-}
+/// Backoff before a faulted placement's first retry, in events.
+pub(crate) const BACKOFF_BASE: u64 = 1;
 
-impl RetryPolicy {
-    /// Delay before redispatching attempt `attempt` (1-based), in events.
-    /// Deterministic — the backoff schedule is a pure function of the
-    /// attempt number, so journal replay reproduces it bit for bit.
-    pub fn delay(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(63);
-        self.backoff_base
-            .checked_shl(shift)
-            .unwrap_or(self.backoff_cap)
-            .min(self.backoff_cap)
-            .max(1)
-    }
+/// Upper bound on any single backoff, in events.
+pub(crate) const BACKOFF_CAP: u64 = 8;
+
+/// Capped exponential backoff in logical event time: faulted attempt
+/// `k` (1-based) waits `min(BACKOFF_CAP, BACKOFF_BASE << (k-1))` events
+/// before redispatch, so one fault burst cannot burn a job's whole
+/// attempt budget inside a single event. A pure function of the attempt
+/// number, so journal replay reproduces it.
+pub(crate) fn backoff(attempt: u32) -> u64 {
+    let doubling = 1u64 << attempt.saturating_sub(1).min(63);
+    BACKOFF_BASE.saturating_mul(doubling).min(BACKOFF_CAP)
 }
 
 /// Tunables for a daemon instance.
@@ -97,8 +84,6 @@ pub struct DaemonConfig {
     /// Fault plan: `transient_rate` is the per-placement probability that
     /// a job's startup faults and must be retried.
     pub faults: FaultPlan,
-    /// Placement attempts before a job is marked failed.
-    pub max_attempts: u32,
     /// Drift handling for observed-vs-predicted completion times.
     pub drift: DriftPolicy,
     /// Incremental delta path (default) vs from-scratch batch oracle.
@@ -107,8 +92,6 @@ pub struct DaemonConfig {
     pub exec: ExecContext,
     /// Admission control and load shedding.
     pub queue: QueuePolicy,
-    /// Backoff schedule for faulted placements.
-    pub retry: RetryPolicy,
     /// Fleet solve-memo capacity (halved while degraded).
     pub memo_capacity: usize,
 }
@@ -118,41 +101,81 @@ impl Default for DaemonConfig {
         Self {
             seed: 0x5EED,
             faults: FaultPlan::none(),
-            max_attempts: 3,
             drift: DriftPolicy::default(),
             incremental: true,
             exec: ExecContext::serial(),
             queue: QueuePolicy::default(),
-            retry: RetryPolicy::default(),
             memo_capacity: pandia_core::DEFAULT_MEMO_CAPACITY,
         }
     }
 }
 
-/// The audit ledger: every consequential transition the daemon made,
-/// counted. Telemetry counters must reconcile against this exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonAudit {
+/// Declares the audit ledger from one list of fields: the
+/// [`DaemonAudit`] struct, its `(name, value)` table, and the [`Ledger`]
+/// keys that move a field and its `daemon.<field>` counter together.
+macro_rules! ledger {
+    ($($(#[doc = $doc:literal])* $field:ident: $key:ident,)*) => {
+        /// The audit ledger: every consequential transition the daemon
+        /// made, counted. Telemetry counters must reconcile against this
+        /// exactly.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct DaemonAudit {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        /// Names one [`DaemonAudit`] field.
+        enum Ledger {
+            $($key,)*
+        }
+
+        const LEDGER_FIELDS: usize = [$(stringify!($field)),*].len();
+
+        impl DaemonAudit {
+            /// Every field as `(name, value)`, in declaration order: the
+            /// order of a checkpoint's meta counts and of `pandiad`'s
+            /// `audit:` line. Field `x` is mirrored by counter `daemon.x`.
+            pub fn fields(&self) -> [(&'static str, u64); LEDGER_FIELDS] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            fn fields_mut(&mut self) -> [(&'static str, &mut u64); LEDGER_FIELDS] {
+                [$((stringify!($field), &mut self.$field)),*]
+            }
+
+            /// Adds one to the field `key` names; returns its counter.
+            fn bump(&mut self, key: Ledger) -> &'static str {
+                match key {
+                    $(Ledger::$key => {
+                        self.$field += 1;
+                        concat!("daemon.", stringify!($field))
+                    })*
+                }
+            }
+        }
+    };
+}
+
+ledger! {
     /// Events applied.
-    pub events: u64,
+    events: Events,
     /// Jobs submitted.
-    pub submitted: u64,
+    submitted: Submitted,
     /// Successful placements (a retried job counts once per success).
-    pub placed: u64,
+    placed: Placed,
     /// Jobs completed.
-    pub completed: u64,
+    completed: Completed,
     /// Jobs that exhausted their attempt budget (or were canceled).
-    pub failed: u64,
+    failed: Failed,
     /// Re-queues after a fault or external failure.
-    pub retries: u64,
+    retries: Retries,
     /// Faulted placements drawn from the fault plan.
-    pub faulted: u64,
+    faulted: Faulted,
     /// Machine reprofiles triggered by drift detection.
-    pub reprofiles: u64,
+    reprofiles: Reprofiles,
     /// Submissions refused at the door (queue at `max_depth`).
-    pub rejected: u64,
+    rejected: Rejected,
     /// Queued jobs dropped by deadline or overflow shedding.
-    pub shed: u64,
+    shed: Shed,
 }
 
 /// `pandiad`: the event-driven placement service.
@@ -351,14 +374,18 @@ impl Daemon {
         let _ = writeln!(self.transcript, "[{:04}] {line}", self.clock);
     }
 
+    /// Counts one transition in the ledger and in its telemetry counter.
+    fn tally(&mut self, key: Ledger) {
+        pandia_obs::count(self.audit.bump(key), 1);
+    }
+
     /// Applies one event. Each application is wrapped in a `daemon` span
     /// whose duration feeds the `daemon.event_latency_us` histogram.
     pub fn apply(&mut self, event: &Event) -> Result<(), PandiaError> {
         let _span = pandia_obs::span("daemon", event.kind())
             .arg("clock", self.clock)
             .observe_as("daemon.event_latency_us");
-        pandia_obs::count("daemon.events", 1);
-        self.audit.events += 1;
+        self.tally(Ledger::Events);
         match event {
             Event::Submit { job, class, priority } => self.on_submit(job, class, *priority)?,
             Event::Complete { job, elapsed } => self.on_complete(job, *elapsed)?,
@@ -371,7 +398,7 @@ impl Daemon {
         // even when the event itself (e.g. a query) moved no fleet state.
         self.dispatch()?;
         self.update_overload_mode();
-        self.shed()?;
+        self.shed();
         pandia_obs::gauge("daemon.queue_depth", self.queue.len() as f64);
         pandia_obs::gauge("daemon.running", self.fleet.active_jobs() as f64);
         self.clock += 1;
@@ -405,53 +432,48 @@ impl Daemon {
         // still recorded (terminal `Rejected`) so the audit trail accounts
         // for it and later complete/fail events degrade to no-ops instead
         // of unknown-job errors.
-        if self.queue.len() >= self.config.queue.max_depth {
+        let depth = self.queue.len();
+        let admitted = depth < self.config.queue.max_depth;
+        if !admitted {
             record.status = JobStatus::Rejected;
-            let depth = self.queue.len();
-            self.jobs.push(record);
-            self.index.insert(job.to_string(), id);
-            pandia_obs::count("daemon.rejected", 1);
-            self.audit.rejected += 1;
-            self.say(&format!(
-                "reject {job} class={class} reason=queue_full depth={depth} -> rejected"
-            ));
-            return Ok(());
         }
         self.jobs.push(record);
         self.index.insert(job.to_string(), id);
-        self.queue.push_back(id);
-        pandia_obs::count("daemon.submitted", 1);
-        self.audit.submitted += 1;
-        self.say(&format!("submit {job} class={class} -> queued"));
+        if admitted {
+            self.queue.push_back(id);
+            self.tally(Ledger::Submitted);
+            self.say(&format!("submit {job} class={class} -> queued"));
+        } else {
+            self.tally(Ledger::Rejected);
+            self.say(&format!(
+                "reject {job} class={class} reason=queue_full depth={depth} -> rejected"
+            ));
+        }
         Ok(())
     }
 
     fn on_complete(&mut self, job: &str, elapsed: Option<f64>) -> Result<(), PandiaError> {
         let id = self.lookup(job)?;
-        match self.jobs[id].status {
+        let machine = match self.jobs[id].status {
             JobStatus::Running => {
-                let slot = self.jobs[id].slot.ok_or_else(|| PandiaError::Mismatch {
-                    reason: format!("running job '{job}' has no fleet slot"),
-                })?;
-                let machine = self.fleet.depart(slot)?;
-                let predicted = self.jobs[id].predicted_time;
-                self.jobs[id].status = JobStatus::Completed;
-                self.jobs[id].slot = None;
-                pandia_obs::count("daemon.completed", 1);
-                self.audit.completed += 1;
+                let machine = self.depart(id)?;
                 self.say(&format!("complete {job} machine={machine} -> completed"));
-                self.check_drift(machine, predicted, elapsed);
+                Some(machine)
             }
             JobStatus::Queued => {
-                self.queue.retain(|&q| q != id);
-                self.jobs[id].status = JobStatus::Completed;
-                pandia_obs::count("daemon.completed", 1);
-                self.audit.completed += 1;
+                self.dequeue(id);
                 self.say(&format!("complete {job} (was queued) -> completed"));
+                None
             }
             status => {
                 self.say(&format!("complete {job} ignored (already {})", status.tag()));
+                return Ok(());
             }
+        };
+        self.jobs[id].status = JobStatus::Completed;
+        self.tally(Ledger::Completed);
+        if let Some(machine) = machine {
+            self.check_drift(machine, self.jobs[id].predicted_time, elapsed);
         }
         Ok(())
     }
@@ -460,38 +482,22 @@ impl Daemon {
         let id = self.lookup(job)?;
         match self.jobs[id].status {
             JobStatus::Running => {
-                let slot = self.jobs[id].slot.ok_or_else(|| PandiaError::Mismatch {
-                    reason: format!("running job '{job}' has no fleet slot"),
-                })?;
-                let machine = self.fleet.depart(slot)?;
-                self.jobs[id].slot = None;
-                self.jobs[id].machine = None;
-                if self.jobs[id].attempts >= self.config.max_attempts {
-                    self.jobs[id].status = JobStatus::Failed;
-                    pandia_obs::count("daemon.failed", 1);
-                    self.audit.failed += 1;
+                let machine = self.depart(id)?;
+                if self.retry_or_fail(id, None) {
+                    self.say(&format!("fail {job} machine={machine} -> queued (retry)"));
+                } else {
                     self.say(&format!(
                         "fail {job} machine={machine} attempts exhausted -> failed"
                     ));
-                } else {
-                    self.jobs[id].status = JobStatus::Queued;
-                    self.jobs[id].enqueued_at = self.clock;
-                    self.queue.push_back(id);
-                    pandia_obs::count("daemon.retries", 1);
-                    self.audit.retries += 1;
-                    self.say(&format!("fail {job} machine={machine} -> queued (retry)"));
                 }
             }
             JobStatus::Queued => {
-                self.queue.retain(|&q| q != id);
+                self.dequeue(id);
                 self.jobs[id].status = JobStatus::Failed;
-                pandia_obs::count("daemon.failed", 1);
-                self.audit.failed += 1;
+                self.tally(Ledger::Failed);
                 self.say(&format!("fail {job} (was queued) -> failed"));
             }
-            status => {
-                self.say(&format!("fail {job} ignored (already {})", status.tag()));
-            }
+            status => self.say(&format!("fail {job} ignored (already {})", status.tag())),
         }
         Ok(())
     }
@@ -513,14 +519,50 @@ impl Daemon {
         Ok(())
     }
 
+    /// Takes a job out of the queue.
+    fn dequeue(&mut self, id: usize) {
+        if let Some(at) = self.queue.iter().position(|&q| q == id) {
+            self.queue.remove(at);
+        }
+    }
+
+    /// Takes a placed job out of the fleet; returns the machine it left.
+    fn depart(&mut self, id: usize) -> Result<usize, PandiaError> {
+        let slot = self.jobs[id].slot.take().ok_or_else(|| PandiaError::Mismatch {
+            reason: format!("running job '{}' has no fleet slot", self.jobs[id].name),
+        })?;
+        self.fleet.depart(slot)
+    }
+
+    /// The retry rule, for external failures and faulted placements
+    /// alike: a job that has used its [`MAX_ATTEMPTS`] fails; any other
+    /// goes back to the end of the queue as a retry, held back `backoff`
+    /// events when that is given (faults only). Returns whether the job
+    /// was re-queued.
+    fn retry_or_fail(&mut self, id: usize, backoff: Option<u64>) -> bool {
+        let job = &mut self.jobs[id];
+        if job.attempts >= MAX_ATTEMPTS {
+            job.status = JobStatus::Failed;
+            self.tally(Ledger::Failed);
+            return false;
+        }
+        job.status = JobStatus::Queued;
+        job.enqueued_at = self.clock;
+        if let Some(delay) = backoff {
+            job.not_before = self.clock + delay;
+        }
+        self.queue.push_back(id);
+        self.tally(Ledger::Retries);
+        true
+    }
+
     /// Places queued jobs (FIFO among the eligible) while the fleet has
     /// capacity, drawing a fault per placement attempt. A faulted
-    /// placement departs immediately and re-queues at the back under the
-    /// [`RetryPolicy`]'s capped exponential backoff — the job becomes
-    /// eligible again only once the logical clock reaches its
-    /// `not_before`, so one fault burst no longer burns the whole
-    /// attempt budget within a single event ("retry storm"). Jobs still
-    /// inside their backoff window are scanned past, not reordered.
+    /// placement departs immediately and falls to the retry rule, which
+    /// re-queues it at the back under the capped exponential
+    /// [`backoff`] — the job becomes eligible again only once the
+    /// logical clock reaches its `not_before`. Jobs still inside their
+    /// backoff window are scanned past, not reordered.
     fn dispatch(&mut self) -> Result<(), PandiaError> {
         let mut scan = 0;
         while scan < self.queue.len() {
@@ -542,46 +584,32 @@ impl Daemon {
                 // leave the queue as it stands.
                 break;
             };
-            self.jobs[id].attempts += 1;
-            let roll = fault_roll(self.config.seed, &name, self.jobs[id].attempts);
-            if roll < self.config.faults.transient_rate {
-                self.fleet.depart(admission.slot)?;
-                pandia_obs::count("daemon.faulted", 1);
-                self.audit.faulted += 1;
-                self.queue.remove(scan);
-                if self.jobs[id].attempts >= self.config.max_attempts {
-                    self.jobs[id].status = JobStatus::Failed;
-                    pandia_obs::count("daemon.failed", 1);
-                    self.audit.failed += 1;
+            self.dequeue(id);
+            let job = &mut self.jobs[id];
+            job.slot = Some(admission.slot);
+            job.attempts += 1;
+            let attempts = job.attempts;
+            if fault_roll(self.config.seed, &name, attempts) < self.config.faults.transient_rate {
+                self.depart(id)?;
+                self.tally(Ledger::Faulted);
+                let delay = backoff(attempts);
+                if self.retry_or_fail(id, Some(delay)) {
                     self.say(&format!(
-                        "fail {name} after {} faulted attempts -> failed",
-                        self.jobs[id].attempts
+                        "fault {name} attempt={attempts} machine={} backoff={delay} -> queued",
+                        admission.machine
                     ));
                 } else {
-                    let delay = self.config.retry.delay(self.jobs[id].attempts);
-                    self.jobs[id].not_before = self.clock + delay;
-                    self.jobs[id].enqueued_at = self.clock;
-                    self.queue.push_back(id);
-                    pandia_obs::count("daemon.retries", 1);
-                    self.audit.retries += 1;
-                    self.say(&format!(
-                        "fault {name} attempt={} machine={} backoff={delay} -> queued",
-                        self.jobs[id].attempts, admission.machine
-                    ));
+                    self.say(&format!("fail {name} after {attempts} faulted attempts -> failed"));
                 }
                 continue;
             }
-            self.jobs[id].status = JobStatus::Running;
-            self.jobs[id].slot = Some(admission.slot);
-            self.jobs[id].machine = Some(admission.machine_index);
-            self.jobs[id].predicted_time = Some(admission.predicted_time);
-            pandia_obs::count("daemon.placed", 1);
-            self.audit.placed += 1;
+            job.status = JobStatus::Running;
+            job.predicted_time = Some(admission.predicted_time);
+            self.tally(Ledger::Placed);
             self.say(&format!(
                 "place {name} machine={} threads={} predicted={:.6} -> running",
                 admission.machine, admission.n_threads, admission.predicted_time
             ));
-            self.queue.remove(scan);
         }
         Ok(())
     }
@@ -619,9 +647,10 @@ impl Daemon {
     /// waiting time exceeded the deadline, then — while the queue is
     /// still above the high-water mark — drop the lowest-priority queued
     /// job (oldest first, then lowest id, so the victim is deterministic).
-    /// Running jobs are never candidates: only queue members are scanned,
-    /// and by construction those hold no fleet slot.
-    fn shed(&mut self) -> Result<(), PandiaError> {
+    /// Only queue members are candidates, and those hold no fleet slot.
+    /// A retry is a queue member: a running job that fails in this event
+    /// and is re-queued can be shed by it, after its `fail` line.
+    fn shed(&mut self) {
         if let Some(deadline) = self.config.queue.deadline {
             let clock = self.clock;
             let expired: Vec<usize> = self
@@ -653,16 +682,14 @@ impl Daemon {
         }
         // Shedding freed queue slots, never fleet slots, so no dispatch
         // pass is needed afterwards.
-        Ok(())
     }
 
     /// Removes one queued job and marks it rejected (shed).
     fn shed_job(&mut self, id: usize, detail: &str) {
-        self.queue.retain(|&q| q != id);
+        self.dequeue(id);
         self.jobs[id].status = JobStatus::Rejected;
+        self.tally(Ledger::Shed);
         let name = self.jobs[id].name.clone();
-        pandia_obs::count("daemon.shed", 1);
-        self.audit.shed += 1;
         self.say(&format!("shed {name} {detail} -> rejected"));
     }
 
@@ -689,8 +716,7 @@ impl Daemon {
         {
             self.fleet.invalidate_machine(machine);
             self.reprofiles_done += 1;
-            self.audit.reprofiles += 1;
-            pandia_obs::count("daemon.reprofiles", 1);
+            self.tally(Ledger::Reprofiles);
             self.drift_streak[machine] = 0;
             let streak = self.config.drift.consecutive;
             self.say(&format!("reprofile machine={machine} (drift x{streak})"));
@@ -747,7 +773,7 @@ impl Daemon {
         );
         for job in &self.jobs {
             if job.is_live() {
-                let place = match job.machine {
+                let place = match job.slot.and_then(|slot| self.fleet.job_machine(slot)) {
                     Some(m) => format!(" machine={m}"),
                     None => String::new(),
                 };
@@ -790,11 +816,12 @@ impl Daemon {
     /// one line per job record, a `{"transcript_bytes":N}` line, and
     /// then exactly N raw transcript bytes, which end the document.
     ///
-    /// A queued or running job's line carries its whole record. A
-    /// retired (completed, failed or rejected) job's line carries only
-    /// its name and status: once a job is terminal, nothing reads its
-    /// record but its status (`job_status`, the `ignored (already …)`
-    /// transcript lines, the status report's counts).
+    /// A queued or running job's line carries its whole record, and a
+    /// running job's line also its fleet slot and machine. A retired
+    /// (completed, failed or rejected) job's line carries only its name
+    /// and status: once a job is terminal, nothing reads its record but
+    /// its status (`job_status`, the `ignored (already …)` transcript
+    /// lines, the status report's counts).
     ///
     /// The fleet's schedules are deliberately *not* serialized: the
     /// co-scheduler is a pure function of the resident descriptions, so
@@ -811,28 +838,16 @@ impl Daemon {
             pandia_obs::schema::CHECKPOINT_SCHEMA,
             self.clock
         );
-        let a = &self.audit;
+        let _ = write!(out, "{{\"clock\":{}", self.clock);
+        for (name, value) in self.audit.fields() {
+            let _ = write!(out, ",\"{name}\":{value}");
+        }
         let queue: Vec<String> = self.queue.iter().map(|id| id.to_string()).collect();
         let streaks: Vec<String> =
             self.drift_streak.iter().map(|s| s.to_string()).collect();
         let _ = writeln!(
             out,
-            "{{\"clock\":{},\"events\":{},\"submitted\":{},\"placed\":{},\
-             \"completed\":{},\"failed\":{},\"retries\":{},\"faulted\":{},\
-             \"reprofiles\":{},\"rejected\":{},\"shed\":{},\
-             \"reprofiles_done\":{},\"degraded\":{},\
-             \"drift_streak\":[{}],\"queue\":[{}]}}",
-            self.clock,
-            a.events,
-            a.submitted,
-            a.placed,
-            a.completed,
-            a.failed,
-            a.retries,
-            a.faulted,
-            a.reprofiles,
-            a.rejected,
-            a.shed,
+            ",\"reprofiles_done\":{},\"degraded\":{},\"drift_streak\":[{}],\"queue\":[{}]}}",
             self.reprofiles_done,
             self.degraded,
             streaks.join(","),
@@ -861,9 +876,9 @@ impl Daemon {
             );
             if let Some(slot) = job.slot {
                 let _ = write!(out, ",\"slot\":{slot}");
-            }
-            if let Some(machine) = job.machine {
-                let _ = write!(out, ",\"machine\":{machine}");
+                if let Some(machine) = self.fleet.job_machine(slot) {
+                    let _ = write!(out, ",\"machine\":{machine}");
+                }
             }
             if let Some(t) = job.predicted_time {
                 // Bit pattern, not decimal: predictions must survive the
@@ -947,25 +962,24 @@ impl Daemon {
             )));
         }
         daemon.clock = clock;
-        daemon.audit = DaemonAudit {
-            events: uint(&meta, "events", line)?,
-            submitted: uint(&meta, "submitted", line)?,
-            placed: uint(&meta, "placed", line)?,
-            completed: uint(&meta, "completed", line)?,
-            failed: uint(&meta, "failed", line)?,
-            retries: uint(&meta, "retries", line)?,
-            faulted: uint(&meta, "faulted", line)?,
-            reprofiles: uint(&meta, "reprofiles", line)?,
-            rejected: uint(&meta, "rejected", line)?,
-            shed: uint(&meta, "shed", line)?,
-        };
+        for (name, value) in daemon.audit.fields_mut() {
+            *value = uint(&meta, name, line)?;
+        }
         daemon.reprofiles_done = uint(&meta, "reprofiles_done", line)?;
         let degraded = field(&meta, "degraded")
             .and_then(|v| v.as_bool())
             .ok_or_else(|| bad(format!("checkpoint line {line}: missing 'degraded'")))?;
-        let streaks = field(&meta, "drift_streak")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| bad(format!("checkpoint line {line}: missing 'drift_streak'")))?;
+        // The drift streaks and the queue: arrays of indices.
+        let indices = |key: &str| {
+            field(&meta, key)
+                .and_then(|v| v.as_array())
+                .ok_or_else(|| bad(format!("checkpoint line {line}: missing '{key}'")))?
+                .iter()
+                .map(|v| v.as_u64().and_then(|n| usize::try_from(n).ok()))
+                .collect::<Option<Vec<usize>>>()
+                .ok_or_else(|| bad(format!("checkpoint line {line}: bad entry in '{key}'")))
+        };
+        let streaks = indices("drift_streak")?;
         if streaks.len() != daemon.drift_streak.len() {
             return Err(bad(format!(
                 "checkpoint carries {} drift streaks for {} machines",
@@ -973,21 +987,11 @@ impl Daemon {
                 daemon.drift_streak.len()
             )));
         }
-        let index = |v: &serde_json::Value| v.as_u64().and_then(|n| usize::try_from(n).ok());
-        for (i, s) in streaks.iter().enumerate() {
-            daemon.drift_streak[i] =
-                index(s).ok_or_else(|| bad(format!("checkpoint line {line}: bad drift streak")))?;
-        }
-        let queue_ids: Vec<usize> = field(&meta, "queue")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| bad(format!("checkpoint line {line}: missing 'queue'")))?
-            .iter()
-            .map(index)
-            .collect::<Option<Vec<usize>>>()
-            .ok_or_else(|| bad(format!("checkpoint line {line}: bad queue id")))?;
+        daemon.drift_streak = streaks;
+        let queue_ids = indices("queue")?;
 
         // Job lines until the `transcript_bytes` line.
-        let mut old_slots: Vec<(usize, usize)> = Vec::new(); // (old slot, job id)
+        let mut placed: Vec<(usize, usize, usize)> = Vec::new(); // (old slot, job id, machine)
         let transcript_bytes: usize = loop {
             let (line, value) = next("transcript_bytes")?;
             if field(&value, "transcript_bytes").is_some() {
@@ -1012,15 +1016,13 @@ impl Daemon {
                 record.priority = uint(&value, "priority", line)?;
                 record.enqueued_at = uint(&value, "enqueued_at", line)?;
                 record.not_before = uint(&value, "not_before", line)?;
-                if field(&value, "machine").is_some() {
-                    record.machine = Some(uint(&value, "machine", line)?);
-                }
                 if field(&value, "predicted_bits").is_some() {
                     record.predicted_time =
                         Some(f64::from_bits(uint(&value, "predicted_bits", line)?));
                 }
                 if status == JobStatus::Running {
-                    old_slots.push((uint(&value, "slot", line)?, id));
+                    let slot = uint(&value, "slot", line)?;
+                    placed.push((slot, id, uint(&value, "machine", line)?));
                 }
             }
             if daemon.index.insert(name, id).is_some() {
@@ -1064,14 +1066,11 @@ impl Daemon {
         // Re-seat running jobs in old-slot order: slots compact to 0..k
         // but their relative order — which fixes per-machine resident
         // order and therefore the solved schedules — is preserved.
-        old_slots.sort_unstable();
-        let payload: Vec<(String, String, usize, Vec<WorkloadDescription>)> = old_slots
+        placed.sort_unstable();
+        let payload: Vec<(String, String, usize, Vec<WorkloadDescription>)> = placed
             .iter()
-            .map(|&(_, id)| {
+            .map(|&(_, id, machine)| {
                 let job = &daemon.jobs[id];
-                let machine = job.machine.ok_or_else(|| {
-                    bad(format!("checkpoint running job '{}' has no machine", job.name))
-                })?;
                 let descs = daemon.catalog.get(&job.class).cloned().ok_or_else(|| {
                     bad(format!("class '{}' left the catalog", job.class))
                 })?;
@@ -1079,7 +1078,7 @@ impl Daemon {
             })
             .collect::<Result<_, PandiaError>>()?;
         let new_slots = daemon.fleet.restore_jobs(payload)?;
-        for (&(_, id), &slot) in old_slots.iter().zip(&new_slots) {
+        for (&(_, id, _), &slot) in placed.iter().zip(&new_slots) {
             daemon.jobs[id].slot = Some(slot);
         }
 
@@ -1088,6 +1087,39 @@ impl Daemon {
             daemon.fleet.set_memo_capacity((daemon.config.memo_capacity / 2).max(1));
         }
         daemon.last_checkpoint = Some(seq);
+        Ok(daemon)
+    }
+
+    /// The recovery fold, over the texts of the newest checkpoint and of
+    /// the write-ahead journal (either may be absent): restores the
+    /// checkpoint (or starts fresh), skips the journal records it covers
+    /// and applies the rest. A tail that starts past the restored clock
+    /// lost events: a `PandiaError::Mismatch`. The caller continues its
+    /// event stream from [`clock`](Self::clock).
+    pub fn recover(
+        machines: Vec<MachineDescription>,
+        catalog: ClassCatalog,
+        config: DaemonConfig,
+        checkpoint: Option<&str>,
+        journal: Option<&str>,
+    ) -> Result<Self, PandiaError> {
+        let mut daemon = match checkpoint {
+            Some(text) => Self::restore(machines, catalog, config, text)?,
+            None => Self::new(machines, catalog, config)?,
+        };
+        let records = journal.map(crate::journal::parse_journal).transpose()?;
+        let covered = daemon.clock;
+        for (seq, event) in records.into_iter().flatten().skip_while(|&(seq, _)| seq < covered) {
+            if seq != daemon.clock {
+                return Err(PandiaError::Mismatch {
+                    reason: format!(
+                        "journal tail starts at seq {seq}, daemon clock is {}",
+                        daemon.clock
+                    ),
+                });
+            }
+            daemon.apply(&event)?;
+        }
         Ok(daemon)
     }
 }
@@ -1147,12 +1179,15 @@ mod tests {
 
     #[test]
     fn external_failures_retry_then_exhaust() {
-        let mut d = daemon(DaemonConfig { max_attempts: 2, ..DaemonConfig::default() });
+        let mut d = daemon(DaemonConfig::default());
         d.apply(&Event::Submit { job: "a".into(), class: "cpu".into(), priority: 0 }).unwrap();
-        d.apply(&Event::Fail { job: "a".into() }).unwrap();
-        // attempts=1 < 2, so it re-queues and re-places immediately.
-        assert_eq!(d.running(), 1);
-        assert_eq!(d.audit().retries, 1);
+        for attempt in 1..MAX_ATTEMPTS {
+            d.apply(&Event::Fail { job: "a".into() }).unwrap();
+            // attempts < MAX_ATTEMPTS, so it re-queues and re-places
+            // immediately: external failures get no backoff.
+            assert_eq!(d.running(), 1);
+            assert_eq!(d.audit().retries, u64::from(attempt));
+        }
         d.apply(&Event::Fail { job: "a".into() }).unwrap();
         assert_eq!(d.running(), 0);
         assert_eq!(d.audit().failed, 1);
@@ -1305,7 +1340,6 @@ mod tests {
         let config = DaemonConfig {
             // transient_rate 1.0: every placement faults.
             faults: FaultPlan { transient_rate: 1.0, ..FaultPlan::none() },
-            max_attempts: 3,
             ..DaemonConfig::default()
         };
         let mut d = daemon(config);
@@ -1324,19 +1358,62 @@ mod tests {
             d.apply(&Event::Query).unwrap();
         }
         assert_eq!(d.job_status("a"), Some(JobStatus::Failed));
-        assert_eq!(d.audit().faulted, 3);
+        assert_eq!(d.audit().faulted, u64::from(MAX_ATTEMPTS));
         assert!(d.transcript().contains("after 3 faulted attempts -> failed"));
     }
 
     #[test]
     fn backoff_delay_schedule_is_capped_exponential() {
-        let retry = RetryPolicy { backoff_base: 2, backoff_cap: 16 };
-        let delays: Vec<u64> = (1..=7).map(|a| retry.delay(a)).collect();
-        assert_eq!(delays, vec![2, 4, 8, 16, 16, 16, 16]);
-        // Degenerate base still advances the clock.
-        assert_eq!(RetryPolicy { backoff_base: 0, backoff_cap: 4 }.delay(1), 1);
+        let delays: Vec<u64> = (1..=6).map(backoff).collect();
+        assert_eq!(delays, vec![1, 2, 4, 8, 8, 8]);
+        assert_eq!((delays[0], delays[5]), (BACKOFF_BASE, BACKOFF_CAP));
         // Huge attempt numbers must not overflow.
-        assert_eq!(RetryPolicy::default().delay(u32::MAX), 8);
+        assert_eq!(backoff(u32::MAX), BACKOFF_CAP);
+    }
+
+    #[test]
+    fn recover_folds_the_journal_tail_past_the_checkpoint() {
+        let preset = synthetic(2);
+        let mk = || (preset.machines.clone(), preset.catalog.clone(), DaemonConfig::default());
+        let events: Vec<Event> = (0..5).map(|i| submit(&format!("j{i}"), "cpu", 0)).collect();
+        let journal = |from: usize| {
+            let mut text = format!("{{\"schema\":\"{}\"}}\n", crate::JOURNAL_SCHEMA);
+            for (seq, event) in events.iter().enumerate().skip(from) {
+                text.push_str(&format!("{{\"seq\":{seq},\"entry\":"));
+                event.render(&mut text);
+                text.push_str("}\n");
+            }
+            text
+        };
+        let (m, c, cfg) = mk();
+        let mut oracle = Daemon::new(m, c, cfg).unwrap();
+        oracle.run(&events[..2]).unwrap();
+        let checkpoint = oracle.checkpoint();
+        oracle.run(&events[2..]).unwrap();
+
+        // Records the checkpoint covers are skipped; without a checkpoint
+        // the whole journal is applied.
+        let doc = Some(checkpoint.as_str());
+        for (doc, from) in [(doc, 0), (doc, 2), (None, 0)] {
+            let (m, c, cfg) = mk();
+            let r = Daemon::recover(m, c, cfg, doc, Some(&journal(from))).unwrap();
+            assert_eq!((r.clock(), r.transcript()), (oracle.clock(), oracle.transcript()));
+            assert_eq!(r.audit(), oracle.audit());
+        }
+        // Neither text: a fresh daemon.
+        let (m, c, cfg) = mk();
+        assert_eq!(Daemon::recover(m, c, cfg, None, None).unwrap().clock(), 0);
+        // A tail that starts past the restored clock lost events.
+        for (doc, from, why) in [
+            (doc, 3, "journal tail starts at seq 3, daemon clock is 2"),
+            (None, 1, "journal tail starts at seq 1, daemon clock is 0"),
+        ] {
+            let (m, c, cfg) = mk();
+            match Daemon::recover(m, c, cfg, doc, Some(&journal(from))) {
+                Err(PandiaError::Mismatch { reason }) => assert_eq!(reason, why),
+                other => panic!("{why}: expected a mismatch, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

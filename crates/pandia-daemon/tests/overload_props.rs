@@ -11,7 +11,7 @@
 use pandia_core::ExecContext;
 use pandia_daemon::{
     generate_events_with_rate, synthetic_small, Daemon, DaemonConfig, Event, JobStatus,
-    QueuePolicy, RetryPolicy,
+    QueuePolicy,
 };
 use pandia_sim::FaultPlan;
 
@@ -37,7 +37,6 @@ fn overload_daemon(jobs: usize, queue: QueuePolicy) -> Daemon {
         faults: FaultPlan::with_intensity(0.7),
         exec: ExecContext::new(jobs),
         queue,
-        retry: RetryPolicy { backoff_base: 1, backoff_cap: 4 },
         ..DaemonConfig::default()
     };
     Daemon::new(preset.machines, preset.catalog, config).unwrap()

@@ -17,8 +17,8 @@
 
 use pandia_core::FleetSchedule;
 use pandia_daemon::{
-    generate_events_with_rate, parse_journal, parse_log, synthetic_small, Daemon, DaemonConfig,
-    Event, Journal, QueuePolicy, CHECKPOINT_SCHEMA,
+    generate_events_with_rate, parse_log, synthetic_small, Daemon, DaemonConfig, Event, Journal,
+    QueuePolicy, CHECKPOINT_SCHEMA,
 };
 use pandia_sim::FaultPlan;
 
@@ -111,23 +111,14 @@ fn run_until_crash(
     (checkpoint, text)
 }
 
-/// Recovery: checkpoint (or fresh daemon), journal tail, then the rest
-/// of the stream from the recovered clock.
+/// Recovery: checkpoint (or fresh daemon) and journal tail, folded by
+/// `Daemon::recover`, then the rest of the stream from the recovered
+/// clock.
 fn recover(checkpoint: Option<&str>, journal_text: &str, events: &[Event]) -> Daemon {
     let preset = synthetic_small(2);
-    let mut daemon = match checkpoint {
-        Some(text) => {
-            Daemon::restore(preset.machines, preset.catalog, config(), text).unwrap()
-        }
-        None => Daemon::new(preset.machines, preset.catalog, config()).unwrap(),
-    };
-    for (seq, event) in parse_journal(journal_text).unwrap() {
-        if seq < daemon.clock() {
-            continue;
-        }
-        assert_eq!(seq, daemon.clock(), "journal tail must be contiguous with the checkpoint");
-        daemon.apply(&event).unwrap();
-    }
+    let mut daemon =
+        Daemon::recover(preset.machines, preset.catalog, config(), checkpoint, Some(journal_text))
+            .expect("journal tail must be contiguous with the checkpoint");
     let start = daemon.clock() as usize;
     for event in &events[start..] {
         daemon.apply(event).unwrap();

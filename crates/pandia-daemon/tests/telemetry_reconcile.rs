@@ -5,7 +5,10 @@
 //! process-global recorder and asserts absolute counter values, so it
 //! cannot share a process with any other telemetry-producing test.
 
-use pandia_daemon::{generate_events, synthetic_small, Daemon, DaemonConfig, SYNTHETIC_CLASSES};
+use pandia_daemon::{
+    generate_events_with_rate, synthetic_small, Daemon, DaemonConfig, QueuePolicy,
+    SYNTHETIC_CLASSES,
+};
 use pandia_sim::FaultPlan;
 
 #[test]
@@ -16,15 +19,20 @@ fn recorder_counters_reconcile_with_the_audit_ledger() {
     let config = DaemonConfig {
         seed: 0xAB5E,
         faults: FaultPlan::with_intensity(0.5),
+        // Bounded at three on both axes, so that submissions bounce at
+        // the door and a failed job re-queued onto a full queue is shed.
+        queue: QueuePolicy { max_depth: 3, high_water: 3, deadline: Some(10) },
         ..DaemonConfig::default()
     };
     let mut daemon = Daemon::new(preset.machines, preset.catalog, config).expect("daemon");
-    let events = generate_events(0xAB5E, 120, &SYNTHETIC_CLASSES);
+    let events = generate_events_with_rate(0xAB5E, 200, &SYNTHETIC_CLASSES, 0.7);
     daemon.run(&events).expect("replay");
 
     let audit = daemon.audit();
     let stats = daemon.fleet_stats();
     assert!(audit.faulted > 0, "storm never faulted; reconciliation untested under chaos");
+    assert!(audit.rejected > 0, "queue never rejected; rejection counter untested");
+    assert!(audit.shed > 0, "queue never shed; shedding counter untested");
     assert!(stats.resolves_skipped > 0, "memo never hit; skip counter untested");
 
     let count = |name: &str| recorder.counter(name).get();
@@ -36,6 +44,8 @@ fn recorder_counters_reconcile_with_the_audit_ledger() {
     assert_eq!(count("daemon.retries"), audit.retries);
     assert_eq!(count("daemon.faulted"), audit.faulted);
     assert_eq!(count("daemon.reprofiles"), audit.reprofiles);
+    assert_eq!(count("daemon.rejected"), audit.rejected);
+    assert_eq!(count("daemon.shed"), audit.shed);
     assert_eq!(count("fleet.resolves"), stats.resolves);
     assert_eq!(count("fleet.resolves_skipped"), stats.resolves_skipped);
 

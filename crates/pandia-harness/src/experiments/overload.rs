@@ -24,9 +24,7 @@
 use std::time::Instant;
 
 use pandia_core::ExecContext;
-use pandia_daemon::{
-    generate_events_with_rate, Daemon, DaemonConfig, FleetPreset, QueuePolicy, RetryPolicy,
-};
+use pandia_daemon::{generate_events_with_rate, Daemon, DaemonConfig, FleetPreset, QueuePolicy};
 use pandia_sim::FaultPlan;
 use serde::{Deserialize, Serialize};
 
@@ -130,7 +128,6 @@ fn replay(
         exec: exec.clone(),
         faults: FaultPlan::with_intensity(0.5),
         queue,
-        retry: RetryPolicy::default(),
         memo_capacity: MEMO_CAPACITY,
         ..DaemonConfig::default()
     };

@@ -14,9 +14,9 @@
 //! * **`pandia-obs`**: P1, S1, V1 only — the recorder *is* the
 //!   sanctioned home for wall-clock reads and raw recorder writes, and
 //!   its `schema.rs` is the one file V1 lets define schema tags.
-//! * **Skipped entirely**: `pandia-cli` and `pandia-bench` (bin/bench
-//!   crates may panic on bad input), `src/bin/` subtrees, `tests/`,
-//!   `examples/`, `benches/`, and `vendor/`.
+//! * **Skipped entirely**: `pandia-cli` (a bin crate may panic on bad
+//!   input), `src/bin/` subtrees, `tests/`, `examples/`, `benches/`,
+//!   and `vendor/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
