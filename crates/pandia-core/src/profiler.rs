@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::{
     description::MachineDescription,
     error::PandiaError,
-    predictor::{predict, PredictorConfig},
+    predictor::{predict, Prediction, PredictorConfig},
     workload_desc::WorkloadDescription,
 };
 
@@ -576,23 +576,20 @@ impl<'m> WorkloadProfiler<'m> {
         initial: impl Fn(f64, f64) -> f64,
     ) -> Result<f64, PandiaError> {
         let SolveTarget { placement, measured_rel, what } = target;
-        let rel_with = |v: f64| -> Result<f64, PandiaError> {
+        let predict_with = |v: f64| -> Result<(Prediction, f64), PandiaError> {
             let mut d = desc.clone();
             set(&mut d, v);
             let pred = predict(self.machine, &d, placement, &self.config.predictor)?;
-            Ok(pred.relative_time(d.t1))
+            let rel = pred.relative_time(d.t1);
+            Ok((pred, rel))
         };
-        let k = rel_with(0.0)?;
+        let rel_with = |v: f64| predict_with(v).map(|(_, rel)| rel);
+        let (pred0, k) = predict_with(0.0)?;
         if measured_rel <= k {
             // The partial model already over-predicts the time: no room
             // for an extra penalty.
             return Ok(0.0);
         }
-        let pred0 = {
-            let mut d = desc.clone();
-            set(&mut d, 0.0);
-            predict(self.machine, &d, placement, &self.config.predictor)?
-        };
         let f = pred0.mean_utilization().max(1e-6);
         let guess = initial(k, f).max(1e-6);
         let fallback = |audit: &mut ProfileAudit, why: &str| {
