@@ -87,7 +87,7 @@ pub struct SimStats {
     /// relaxation round of every fully computed segment, so this is
     /// `segments - segments_coalesced`.
     pub solves: u64,
-    /// Later-round solves answered from the solver's cached allocation
+    /// Later-round solves answered from the solver's cached rates
     /// (rate caps and capacities unchanged).
     pub solves_skipped: u64,
     /// Later-round solves that reused the first round's pristine
@@ -806,17 +806,21 @@ struct Phases {
     core_members: Vec<Vec<usize>>,
     /// Same-group worker runnable indices, ascending (communication).
     group_members: Vec<Vec<usize>>,
-    /// `comm_factor · latency` per runnable thread, same-socket peers.
-    cf_lat_intra: Vec<f64>,
-    /// `comm_factor · latency` per runnable thread, cross-socket peers.
-    cf_lat_cross: Vec<f64>,
-    /// Per-(socket, peer) communication weight for the current round,
-    /// stride = runnable count.
-    peer_weight: Vec<f64>,
+    /// Per group, `comm_factor · latency` for same- and cross-socket
+    /// peers (the spec's two multiplies, in its order); `None` when the
+    /// group does not communicate.
+    comm_lat: Vec<Option<(f64, f64)>>,
+    /// The communication layout: each communicating group's runnable
+    /// workers by socket, ascending within a socket. `comm_start` holds
+    /// the slot bounds of every (group, socket) run, group-major, and
+    /// `comm_slot` each runnable's slot (`usize::MAX` outside the layout).
+    comm_start: Vec<usize>,
+    comm_slot: Vec<usize>,
+    /// This round's communication term per layout slot.
+    comm: Vec<f64>,
     /// Lock utilisation per group, then its queueing delay `ρ / (1 - ρ)`.
     queue_delay: Vec<f64>,
     round_rates: Vec<f64>,
-    last_loads: Vec<f64>,
 }
 
 impl Phases {
@@ -825,6 +829,12 @@ impl Phases {
         let base_caps: Vec<f64> = run.table.resources().iter().map(|r| r.capacity).collect();
         let mut capacities = base_caps.clone();
         capacities.resize(run.table.len() + run.groups.len(), 1.0);
+        let latency = run.inputs.spec.interconnect_latency;
+        let comm_lat = run.inputs.groups.iter().map(|g| {
+            let b = g.behavior;
+            let cf_lat = |hop: f64| b.comm_factor * (hop * latency);
+            (b.comm_factor > 0.0).then(|| (cf_lat(b.intra_socket_comm), cf_lat(1.0)))
+        });
         Self {
             traced,
             burst_off: (0..entities.len()).map(|i| burst_offset(run.inputs.seed, i)).collect(),
@@ -832,6 +842,7 @@ impl Phases {
             burst_amp: entities.iter().map(|e| e.behavior.burst.effective_amplitude()).collect(),
             burst_lo: entities.iter().map(|e| e.behavior.burst.low_multiplier()).collect(),
             burst_hi: entities.iter().map(|e| e.behavior.burst.multiplier(0.0).to_bits()).collect(),
+            comm_lat: comm_lat.collect(),
             base_caps,
             capacities,
             ..Self::default()
@@ -1006,26 +1017,80 @@ impl Phases {
             }
         }
 
-        // Communication constants per runnable thread, fixed for the
-        // segment: the `comm_factor · latency` products for same- and
-        // cross-socket peers (the same two multiplies the per-pair form
-        // performs, in the same order), and the same-group worker lists
-        // that bound each thread's peer scan to its actual peers in
-        // ascending runnable order.
-        self.cf_lat_intra.clear();
-        self.cf_lat_cross.clear();
+        // Communication layout, fixed for the segment: the same-group
+        // worker lists (each thread's peers, in ascending runnable order),
+        // and each communicating group's workers laid out by socket, so
+        // that `communication` adds a peer's term for one socket to one
+        // contiguous run of slots.
         self.group_members.resize_with(run.groups.len(), Vec::new);
         for list in &mut self.group_members {
             list.clear();
         }
         for (k, &i) in runnable.iter().enumerate() {
-            let (b, latency) = (&entities[i].behavior, spec.interconnect_latency);
-            self.cf_lat_intra.push(b.comm_factor * (b.intra_socket_comm * latency));
-            self.cf_lat_cross.push(b.comm_factor * (1.0 * latency));
             if entities[i].is_worker() {
                 self.group_members[entities[i].group].push(k);
             }
         }
+        self.comm_slot.clear();
+        self.comm_slot.resize(runnable.len(), usize::MAX);
+        self.comm_start.clear();
+        self.comm_start.push(0);
+        let mut slot = 0;
+        for (members, lat) in self.group_members.iter().zip(&self.comm_lat) {
+            for s in 0..spec.sockets {
+                if lat.is_some() {
+                    for &k in members.iter().filter(|&&k| entities[runnable[k]].socket.0 == s) {
+                        self.comm_slot[k] = slot;
+                        slot += 1;
+                    }
+                }
+                self.comm_start.push(slot);
+            }
+        }
+        self.comm.resize(slot, 0.0);
+    }
+
+    /// Each runnable worker's communication term for this round, from
+    /// `round_rates`: the spec's `comm += comm_factor · (hop · latency) ·
+    /// weight` over same-group peers in ascending runnable order, where
+    /// the weight divides the peer's rate by the observer's socket scale.
+    /// The sum runs peer-major: each peer's product for an observer
+    /// socket (one division per (peer, socket)) is added to every other
+    /// worker of that socket in one contiguous pass. Each thread still
+    /// adds the same products in the same order, so its sum has the
+    /// spec's bits, but the threads' sums no longer wait on one another.
+    fn communication(&mut self, run: &RunState<'_>) {
+        let (entities, runnable, sockets) = (&run.entities, &run.runnable, run.inputs.spec.sockets);
+        self.comm.fill(0.0);
+        for (g, members) in self.group_members.iter().enumerate() {
+            let Some((intra, cross)) = self.comm_lat[g] else { continue };
+            let runs = &self.comm_start[g * sockets..=(g + 1) * sockets];
+            for &k2 in members {
+                let (own, peer_socket) = (self.comm_slot[k2], entities[runnable[k2]].socket.0);
+                for s in 0..sockets {
+                    let sums = &mut self.comm[runs[s]..runs[s + 1]];
+                    if sums.is_empty() {
+                        continue;
+                    }
+                    let scale = self.dvfs.socket_scale[s];
+                    let weight = (self.round_rates[k2] / scale.max(1e-9)).min(1.0);
+                    if s == peer_socket {
+                        let term = intra * weight;
+                        let (before, after) = sums.split_at_mut(own - runs[s]);
+                        add_to_all(before, term);
+                        add_to_all(&mut after[1..], term);
+                    } else {
+                        add_to_all(sums, cross * weight);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runnable `k`'s term from the last [`Self::communication`]: 0.0 for
+    /// stressors and for workers of groups that do not communicate.
+    fn comm_of(&self, k: usize) -> f64 {
+        self.comm.get(self.comm_slot[k]).copied().unwrap_or(0.0)
     }
 
     /// The relaxation rounds: lock queueing and communication latency
@@ -1035,7 +1100,6 @@ impl Phases {
     /// reuse that state.
     fn relax(&mut self, run: &RunState<'_>) {
         let (spec, entities, runnable) = (run.inputs.spec, &run.entities, &run.runnable);
-        let nk = runnable.len();
         self.round_rates.clear();
         self.round_rates.extend(runnable.iter().map(|&i| run.prev_rates[i]));
         for round in 0..RELAXATION_ROUNDS {
@@ -1052,35 +1116,13 @@ impl Phases {
                 *delay = rho / (1.0 - rho);
             }
 
-            // Peer weights per (socket, peer): the weight divides the
-            // peer's round rate by the *observer's* socket scale, of which
-            // there are only `sockets` distinct values — so the divisions
-            // drop from one per pair to one per (socket, peer). Same
-            // expression, same bits.
-            self.peer_weight.clear();
-            for &scale in &self.dvfs.socket_scale {
-                let weights = self.round_rates.iter().map(|&r| (r / scale.max(1e-9)).min(1.0));
-                self.peer_weight.extend(weights);
-            }
-
+            self.communication(run);
             for (k, &i) in runnable.iter().enumerate() {
                 let e = &entities[i];
                 let scale = self.dvfs.socket_scale[e.socket.0]; // = scale_for_core(e.core)
                 let max_rate = if e.is_worker() {
-                    let mut comm = 0.0;
-                    if e.behavior.comm_factor > 0.0 {
-                        let weights = &self.peer_weight[e.socket.0 * nk..][..nk];
-                        for &k2 in self.group_members[e.group].iter().filter(|&&k2| k2 != k) {
-                            let cf_lat = if entities[runnable[k2]].socket == e.socket {
-                                self.cf_lat_intra[k]
-                            } else {
-                                self.cf_lat_cross[k]
-                            };
-                            comm += cf_lat * weights[k2];
-                        }
-                    }
                     let queue = e.behavior.seq_fraction * self.queue_delay[e.group];
-                    scale / (1.0 + queue + comm + self.interference[k])
+                    scale / (1.0 + queue + self.comm_of(k) + self.interference[k])
                 } else {
                     scale / (1.0 + self.interference[k])
                 };
@@ -1091,19 +1133,19 @@ impl Phases {
                     max_rate
                 };
             }
-            let alloc = if round == 0 {
+            let rates = if round == 0 {
                 self.solver.solve(&self.demands, &self.capacities)
             } else {
                 self.solver.solve_same_demands(&self.demands, &self.capacities)
             };
             self.round_rates.clear();
-            self.round_rates.extend_from_slice(&alloc.rates);
-            self.last_loads.clear();
-            self.last_loads.extend_from_slice(&alloc.loads);
+            self.round_rates.extend_from_slice(rates);
         }
     }
 
-    /// The middle's outputs, copied out of the reused buffers.
+    /// The middle's outputs, copied out of the reused buffers. Only a
+    /// traced run reads the hottest resource, so only a traced run pays
+    /// for the last round's pool loads.
     fn output(&self, run: &RunState<'_>) -> Middle {
         let mut group_rate = vec![0.0_f64; run.groups.len()];
         for (k, &i) in run.runnable.iter().enumerate() {
@@ -1115,12 +1157,22 @@ impl Phases {
             rates: self.round_rates.clone(),
             group_rate,
             hottest: if self.traced {
-                hottest(&run.table, &self.last_loads, &self.capacities)
+                let pools = self.capacities.len();
+                let loads = equilibrium::pool_loads(&self.demands, &self.round_rates, pools);
+                hottest(&run.table, &loads, &self.capacities)
             } else {
                 None
             },
             spill_frac_socket: self.spill_frac_socket.clone(),
         }
+    }
+}
+
+/// Adds one peer's product to a run of observers' sums. The adds are
+/// independent of one another, so the loop vectorizes.
+fn add_to_all(sums: &mut [f64], term: f64) {
+    for sum in sums {
+        *sum += term;
     }
 }
 
@@ -1380,19 +1432,7 @@ mod spec {
                 if e.is_worker() {
                     let r = rho[e.group].min(MAX_LOCK_RHO);
                     queue = e.behavior.seq_fraction * (r / (1.0 - r));
-                    for (k2, &j) in runnable.iter().enumerate() {
-                        let peer = &entities[j];
-                        if j != i && peer.is_worker() && peer.group == e.group {
-                            let hop = if peer.socket == e.socket {
-                                e.behavior.intra_socket_comm
-                            } else {
-                                1.0
-                            };
-                            let latency = hop * spec.interconnect_latency;
-                            let weight = (rates[k2] / scale.max(1e-9)).min(1.0);
-                            comm += e.behavior.comm_factor * latency * weight;
-                        }
-                    }
+                    comm = communication(run, &rates, scale, k);
                 }
                 let instr = e.behavior.demand.instr * multipliers[k];
                 let mut max_rate = scale / (1.0 + queue + comm + interference[k]);
@@ -1414,6 +1454,26 @@ mod spec {
         }
         let hottest = hottest(table, &loads, &capacities);
         Middle { rates, group_rate, hottest, spill_frac_socket }
+    }
+
+    /// Worker `k`'s communication latency per work unit at `rates`, for
+    /// an observer at DVFS `scale`: every same-group peer adds its
+    /// hop-weighted latency times its rate relative to the observer's
+    /// clock, in ascending runnable order.
+    pub(super) fn communication(run: &RunState<'_>, rates: &[f64], scale: f64, k: usize) -> f64 {
+        let (entities, runnable) = (&run.entities, &run.runnable);
+        let e = &entities[runnable[k]];
+        let mut comm = 0.0;
+        for (k2, &j) in runnable.iter().enumerate() {
+            let peer = &entities[j];
+            if k2 != k && peer.is_worker() && peer.group == e.group {
+                let hop = if peer.socket == e.socket { e.behavior.intra_socket_comm } else { 1.0 };
+                let latency = hop * run.inputs.spec.interconnect_latency;
+                let weight = (rates[k2] / scale.max(1e-9)).min(1.0);
+                comm += e.behavior.comm_factor * latency * weight;
+            }
+        }
+        comm
     }
 }
 
@@ -1507,6 +1567,67 @@ mod oracle {
         MultiRunInputs { spec, groups, stressors: &[], fill_background: true, turbo: true, seed }
     }
 
+    /// A run whose groups' workers alternate sockets in runnable order.
+    /// `Placement::spread` and `packed` both list socket 0's contexts
+    /// first, so only such a run interleaves a group's sockets.
+    struct Interleaved {
+        spec: MachineSpec,
+        behaviors: Vec<Behavior>,
+        placements: Vec<Placement>,
+        stressors: Vec<StressPin>,
+    }
+
+    impl Interleaved {
+        fn groups(&self) -> Vec<GroupInput<'_>> {
+            let group = |(b, p)| GroupInput { behavior: b, placement: p, data_placement: None };
+            self.behaviors.iter().zip(&self.placements).map(group).collect()
+        }
+
+        fn inputs<'a>(&'a self, groups: &'a [GroupInput<'a>], seed: u64) -> MultiRunInputs<'a> {
+            MultiRunInputs { stressors: &self.stressors, ..inputs(&self.spec, groups, seed) }
+        }
+    }
+
+    /// 36 communicating threads on x5-2, and two communicating groups with
+    /// different `comm_factor` and `intra_socket_comm` on x2-4's four
+    /// sockets plus an SMT stressor, every group's threads alternating
+    /// sockets.
+    fn interleaved_runs() -> [Interleaved; 2] {
+        let communicating = |name: &str, comm_factor: f64, intra_socket_comm: f64| {
+            let mut b = Behavior::compute(name, 40.0, 3.0);
+            b.burst = BurstProfile::bursty(0.4, 2.0);
+            b.seq_fraction = 0.03;
+            b.comm_factor = comm_factor;
+            b.intra_socket_comm = intra_socket_comm;
+            b.demand.dram = 1.0;
+            b
+        };
+        // Thread t on socket (t + offset) mod sockets, one per core.
+        let alternating = |spec: &MachineSpec, threads: usize, first_core: usize, offset: usize| {
+            let ctx = |t: usize| {
+                let socket = SocketId((t + offset) % spec.sockets);
+                spec.ctx(socket, first_core + t / spec.sockets, 0)
+            };
+            Placement::new(spec, (0..threads).map(ctx).collect()).expect("the placement fits")
+        };
+        let (x5, x2) = (MachineSpec::x5_2(), MachineSpec::x2_4());
+        let stressor = StressPin { kind: StressKind::Cpu, ctx: x2.ctx(SocketId(1), 0, 1) };
+        [
+            Interleaved {
+                behaviors: vec![communicating("alt", 0.01, 0.2)],
+                placements: vec![alternating(&x5, 36, 0, 0)],
+                stressors: Vec::new(),
+                spec: x5,
+            },
+            Interleaved {
+                behaviors: vec![communicating("a", 0.01, 0.2), communicating("b", 0.025, 0.5)],
+                placements: vec![alternating(&x2, 8, 0, 0), alternating(&x2, 8, 2, 1)],
+                stressors: vec![stressor],
+                spec: x2,
+            },
+        ]
+    }
+
     /// Asserts production and the spec agree exactly: equal results and
     /// traces, or equal errors.
     fn assert_matches_spec(inputs: &MultiRunInputs<'_>, config: &EngineConfig, label: &str) {
@@ -1559,8 +1680,13 @@ mod oracle {
     fn production_matches_spec_on_wide_and_smt_packed_runs() {
         // The random placements above draw at most 8 threads. These runs
         // have more than 64 runnable entities (the memo key's multiplier
-        // bits span two words) or fill every SMT context, and each one
-        // replays segments from the memo.
+        // bits span two words), fill every SMT context, or interleave a
+        // group's sockets, and each one replays segments from the memo.
+        let check = |inputs: &MultiRunInputs<'_>, label: &str| {
+            assert_matches_spec(inputs, &EngineConfig::default(), label);
+            let (_, stats) = run_multi_stats(inputs, &EngineConfig::default()).expect("run");
+            assert!(stats.segments_coalesced > 0, "{label}: no replay ({stats:?})");
+        };
         let mut b = Behavior::compute("wide", 40.0, 3.0);
         b.burst = BurstProfile::bursty(0.4, 2.0);
         b.seq_fraction = 0.03;
@@ -1571,11 +1697,49 @@ mod oracle {
         for (case, (spec, threads)) in cases.into_iter().enumerate() {
             let p = Placement::packed(&spec, threads).expect("the placement fits the machine");
             let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
-            let inputs = inputs(&spec, &groups, 5000 + case as u64);
             let label = format!("{} with {threads} threads", spec.name);
-            assert_matches_spec(&inputs, &EngineConfig::default(), &label);
-            let (_, stats) = run_multi_stats(&inputs, &EngineConfig::default()).expect("run");
-            assert!(stats.segments_coalesced > 0, "{label}: no replay ({stats:?})");
+            check(&inputs(&spec, &groups, 5000 + case as u64), &label);
+        }
+        for (case, run) in interleaved_runs().iter().enumerate() {
+            let groups = run.groups();
+            let label = format!("{} with alternating sockets", run.spec.name);
+            check(&run.inputs(&groups, 5003 + case as u64), &label);
+        }
+    }
+
+    #[test]
+    fn communication_sums_match_the_spec_bit_for_bit() {
+        // A last-bit change in a thread's communication term is mostly
+        // far below the rounding step of its rate cap, so the diffs above
+        // see a reordered peer sum only by luck. This pins each runnable's
+        // term to the spec's expression directly, at rates on both sides
+        // of the socket scales (so some weights clip at 1.0).
+        let mut rng = Rng(0xC0_FFEE);
+        for (case, run) in interleaved_runs().iter().enumerate() {
+            let groups = run.groups();
+            let (inputs, config) = (run.inputs(&groups, 11 + case as u64), EngineConfig::default());
+            let mut state = RunState::new(&inputs, &config).expect("fault-free run");
+            assert!(state.next_segment(), "case {case}: nothing runnable");
+            let mut phases = Phases::new(&state, false);
+            phases.draw_multipliers(&state);
+            phases.prologue(&state);
+            for draw in 0..3 {
+                let rates = state.runnable.iter().map(|_| 0.2 + rng.unit() * 1.3);
+                phases.round_rates = rates.collect();
+                phases.communication(&state);
+                for (k, &i) in state.runnable.iter().enumerate() {
+                    let e = &state.entities[i];
+                    if !e.is_worker() {
+                        assert_eq!(phases.comm_of(k), 0.0, "case {case}: stressor {k}");
+                        continue;
+                    }
+                    let scale = phases.dvfs.scale_for_core(&run.spec, e.core);
+                    let want = spec::communication(&state, &phases.round_rates, scale, k);
+                    let got = phases.comm_of(k);
+                    assert!(want > 0.0, "case {case}: worker {k} has no peers");
+                    assert_eq!(got.to_bits(), want.to_bits(), "case {case}, draw {draw}, {k}");
+                }
+            }
         }
     }
 

@@ -40,9 +40,8 @@ pub fn solve(entities: &[EntityDemand], capacities: &[f64]) -> Allocation {
     let n = entities.len();
     let m = capacities.len();
     let mut rates = vec![0.0; n];
-    let mut loads = vec![0.0; m];
     if n == 0 {
-        return Allocation { rates, loads };
+        return Allocation { rates, loads: vec![0.0; m] };
     }
 
     let mut active: Vec<usize> = (0..n).filter(|&e| entities[e].max_rate > 0.0).collect();
@@ -97,12 +96,21 @@ pub fn solve(entities: &[EntityDemand], capacities: &[f64]) -> Allocation {
         });
     }
 
-    for (e, ent) in entities.iter().enumerate() {
+    let loads = pool_loads(entities, &rates, m);
+    Allocation { rates, loads }
+}
+
+/// The load each of `pools` resources carries at `rates`: every entity's
+/// rate times each of its per-unit demands, summed in entity order. A
+/// solve's loads are `pool_loads` of its own rates.
+pub fn pool_loads(entities: &[EntityDemand], rates: &[f64], pools: usize) -> Vec<f64> {
+    let mut loads = vec![0.0; pools];
+    for (ent, &rate) in entities.iter().zip(rates) {
         for &(r, d) in &ent.demands {
-            loads[r] += rates[e] * d;
+            loads[r] += rate * d;
         }
     }
-    Allocation { rates, loads }
+    loads
 }
 
 /// Counters kept by an [`IncrementalSolver`].
@@ -112,7 +120,7 @@ pub struct SolveStats {
     /// contributor state from its entities and runs the filling loop.
     pub solves: u64,
     /// [`IncrementalSolver::solve_same_demands`] calls answered from the
-    /// cached allocation: the rate caps and capacities were bitwise equal
+    /// cached rates: the rate caps and capacities were bitwise equal
     /// to the previous call's as well.
     pub solves_skipped: u64,
     /// [`IncrementalSolver::solve_same_demands`] calls whose rate caps or
@@ -237,23 +245,25 @@ struct FillScratch {
 /// * [`Self::solve`] builds the pristine state from its entities and
 ///   runs the filling loop;
 /// * [`Self::solve_same_demands`] is for callers that know no demand
-///   bundle moved since the previous call: it returns the cached
-///   allocation outright when the rate caps and capacities are bitwise
-///   unchanged too (*skip*), and otherwise shares the whole pristine
-///   state and runs only the filling loop (*prefix*).
+///   bundle moved since the previous call: it returns the cached rates
+///   outright when the rate caps and capacities are bitwise unchanged
+///   too (*skip*), and otherwise shares the whole pristine state and
+///   runs only the filling loop (*prefix*).
 ///
-/// Both return allocations **bit-identical** to [`solve`] on the same
+/// Both return rates only, **bit-identical** to [`solve`]'s on the same
 /// inputs: a pool's slope is the same left-to-right sum over its
 /// contributors in entity order, and IEEE arithmetic is deterministic,
-/// so a reused value is the value the recomputation would produce.
+/// so a reused value is the value the recomputation would produce. A
+/// caller that wants the pool loads (the engine does only when traced)
+/// asks [`pool_loads`] for them.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
-    /// Whether `pristine`/`allocation` hold the previous call's inputs
-    /// and result.
+    /// Whether `pristine`/`rates` hold the previous call's inputs and
+    /// result.
     primed: bool,
     pristine: PristineState,
     capacities: Vec<f64>,
-    allocation: Allocation,
+    rates: Vec<f64>,
     scratch: FillScratch,
     stats: SolveStats,
 }
@@ -269,11 +279,11 @@ impl IncrementalSolver {
         self.stats
     }
 
-    /// Solves the max-min fair allocation and keeps the pristine state
-    /// for [`Self::solve_same_demands`]. Bit-identical to [`solve`]; the
-    /// returned reference is valid until the next call (the engine's hot
+    /// Solves the max-min fair rates and keeps the pristine state for
+    /// [`Self::solve_same_demands`]. Bit-identical to [`solve`]'s rates;
+    /// the returned slice is valid until the next call (the engine's hot
     /// loop copies the rates out, so nothing is cloned per solve).
-    pub fn solve(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &Allocation {
+    pub fn solve(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &[f64] {
         self.stats.solves += 1;
         self.pristine.build(entities, capacities.len());
         self.primed = true;
@@ -286,11 +296,7 @@ impl IncrementalSolver {
     /// between solves. Counts `solves_skipped` when the caps and
     /// capacities are also bit-equal and `prefix_solves` otherwise.
     /// Debug builds verify the caller's contract in full.
-    pub fn solve_same_demands(
-        &mut self,
-        entities: &[EntityDemand],
-        capacities: &[f64],
-    ) -> &Allocation {
+    pub fn solve_same_demands(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &[f64] {
         let pristine = &self.pristine;
         debug_assert!(self.primed);
         debug_assert_eq!(pristine.entities.len(), entities.len());
@@ -307,7 +313,7 @@ impl IncrementalSolver {
             .all(|(prev, cur)| prev.max_rate.to_bits() == cur.max_rate.to_bits());
         if caps_match && bits_eq(&self.capacities, capacities) {
             self.stats.solves_skipped += 1;
-            return &self.allocation;
+            return &self.rates;
         }
         self.stats.prefix_solves += 1;
         self.fill(entities, capacities)
@@ -316,7 +322,7 @@ impl IncrementalSolver {
     /// Records this call's rate caps and capacities — the pristine state
     /// ignores their values, but the next call's skip check needs the
     /// exact bits — and runs the filling loop over the pristine state.
-    fn fill(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &Allocation {
+    fn fill(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &[f64] {
         for (slot, src) in self.pristine.entities.iter_mut().zip(entities) {
             slot.max_rate = src.max_rate;
         }
@@ -330,9 +336,9 @@ impl IncrementalSolver {
             &self.pristine.live,
             &self.pristine.slope,
             &mut self.scratch,
-            &mut self.allocation,
+            &mut self.rates,
         );
-        &self.allocation
+        &self.rates
     }
 }
 
@@ -355,16 +361,18 @@ fn frozen_filtered_sum(contrib: &[(usize, f64)], frozen: &[bool]) -> f64 {
     s
 }
 
-/// The progressive-filling loop over a pre-built contributor state.
+/// The progressive-filling loop over a pre-built contributor state,
+/// writing the rates into `rates`.
 ///
-/// Mirrors [`solve`] exactly, except that a pool's slope is only
+/// Mirrors [`solve`]'s rates exactly, except that a pool's slope is only
 /// re-summed when one of its contributors froze in the previous round
 /// (the "dirty" pools); an untouched pool's slope is the same ordered sum
-/// [`solve`] would recompute, so reusing it is bit-exact. The pristine
-/// contributor lists are read-only — frozen entities are skipped via a
-/// flag vector rather than removed — and all working memory lives in the
-/// caller-owned scratch, so the loop performs no allocation beyond
-/// first-use buffer growth.
+/// [`solve`] would recompute, so reusing it is bit-exact. The loop ends
+/// as soon as the last entity freezes, before the re-sum that only a
+/// next round would read. The pristine contributor lists are read-only —
+/// frozen entities are skipped via a flag vector rather than removed —
+/// and all working memory lives in the caller-owned scratch, so the loop
+/// performs no allocation beyond first-use buffer growth.
 #[allow(clippy::too_many_arguments)] // the pristine state's parallel arrays are deliberate SoA
 fn fill_pristine(
     entities: &[EntityDemand],
@@ -374,18 +382,15 @@ fn fill_pristine(
     pristine_live: &[u32],
     pristine_slope: &[f64],
     scratch: &mut FillScratch,
-    out: &mut Allocation,
+    rates: &mut Vec<f64>,
 ) {
     let n = entities.len();
     let m = capacities.len();
-    out.rates.clear();
-    out.rates.resize(n, 0.0);
-    out.loads.clear();
-    out.loads.resize(m, 0.0);
+    rates.clear();
+    rates.resize(n, 0.0);
     if n == 0 {
         return;
     }
-    let rates = &mut out.rates;
     let s = scratch;
     s.active.clear();
     s.active.extend_from_slice(pristine_active);
@@ -486,6 +491,9 @@ fn fill_pristine(
             }
             keep
         });
+        if s.active.is_empty() {
+            break;
+        }
         if !s.newly_frozen.is_empty() {
             s.dirty.clear();
             for &e in &s.newly_frozen {
@@ -509,12 +517,6 @@ fn fill_pristine(
             // preserved; the surviving pools see identical arithmetic.
             let live = &s.contrib_live;
             s.touched.retain(|&r| live[r] > 0);
-        }
-    }
-
-    for (e, ent) in entities.iter().enumerate() {
-        for &(r, d) in &ent.demands {
-            out.loads[r] += rates[e] * d;
         }
     }
 }

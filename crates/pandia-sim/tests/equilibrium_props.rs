@@ -6,7 +6,7 @@
 //! splitmix64 generator: every case is reproducible from its printed
 //! seed.
 
-use pandia_sim::equilibrium::{solve, Allocation, EntityDemand, IncrementalSolver, SolveStats};
+use pandia_sim::equilibrium::{pool_loads, solve, EntityDemand, IncrementalSolver, SolveStats};
 
 const CASES: u64 = 48;
 
@@ -57,23 +57,26 @@ fn random_instance(rng: &mut Rng) -> (Vec<EntityDemand>, Vec<f64>) {
     (entities, capacities)
 }
 
-fn assert_bits_eq(a: &Allocation, b: &Allocation, what: &str, seed: u64) {
-    assert_eq!(a.rates.len(), b.rates.len(), "{what}: rate lengths (seed {seed})");
-    assert_eq!(a.loads.len(), b.loads.len(), "{what}: load lengths (seed {seed})");
-    for (k, (x, y)) in a.rates.iter().zip(&b.rates).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: rate {k} differs, {x} vs {y} (seed {seed})"
-        );
+fn assert_bits_eq(got: &[f64], want: &[f64], what: &str, seed: u64) {
+    assert_eq!(got.len(), want.len(), "{what} lengths (seed {seed})");
+    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what} {i} differs, {x} vs {y} (seed {seed})");
     }
-    for (r, (x, y)) in a.loads.iter().zip(&b.loads).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: load {r} differs, {x} vs {y} (seed {seed})"
-        );
-    }
+}
+
+/// Asserts an [`IncrementalSolver`]'s `rates` are bitwise [`solve`]'s on
+/// the same inputs, and so are the loads [`pool_loads`] derives from them.
+fn assert_matches_solve(
+    rates: &[f64],
+    entities: &[EntityDemand],
+    capacities: &[f64],
+    what: &str,
+    seed: u64,
+) {
+    let want = solve(entities, capacities);
+    assert_bits_eq(rates, &want.rates, &format!("{what}: rate"), seed);
+    let loads = pool_loads(entities, rates, capacities.len());
+    assert_bits_eq(&loads, &want.loads, &format!("{what}: load"), seed);
 }
 
 #[test]
@@ -170,16 +173,16 @@ fn incremental_matches_from_scratch_bitwise() {
         let removals = entities.len() as u64;
         let mut solver = IncrementalSolver::new();
 
-        let cold = solver.solve(&entities, &capacities).clone();
-        assert_bits_eq(&cold, &solve(&entities, &capacities), "cold", seed);
-        let hit = solver.solve_same_demands(&entities, &capacities).clone();
-        assert_bits_eq(&hit, &cold, "cache hit", seed);
+        let cold = solver.solve(&entities, &capacities).to_vec();
+        assert_matches_solve(&cold, &entities, &capacities, "cold", seed);
+        let hit = solver.solve_same_demands(&entities, &capacities);
+        assert_bits_eq(hit, &cold, "cache hit: rate", seed);
 
         while !entities.is_empty() {
             let victim = rng.usize_in(0, entities.len() - 1);
             entities.remove(victim);
             let warm = solver.solve(&entities, &capacities);
-            assert_bits_eq(warm, &solve(&entities, &capacities), "rebuild", seed);
+            assert_matches_solve(warm, &entities, &capacities, "rebuild", seed);
         }
         let want = SolveStats { solves: 1 + removals, solves_skipped: 1, prefix_solves: 0 };
         assert_eq!(solver.stats(), want, "one exact repeat per case (seed {seed})");
@@ -198,7 +201,7 @@ fn assert_batch_matches_independent(
     let mut solver = IncrementalSolver::new();
     for (c, cand) in candidates.iter().enumerate() {
         let got = solver.solve(cand, capacities);
-        assert_bits_eq(got, &solve(cand, capacities), &format!("{what} candidate {c}"), seed);
+        assert_matches_solve(got, cand, capacities, &format!("{what} candidate {c}"), seed);
     }
 }
 
@@ -225,7 +228,7 @@ fn batched_solves_match_independent_when_all_candidates_share() {
                 solver.solve_same_demands(&cand, &capacities)
             };
             let what = format!("all-share candidate {c}");
-            assert_bits_eq(got, &solve(&cand, &capacities), &what, seed);
+            assert_matches_solve(got, &cand, &capacities, &what, seed);
         }
         let want = SolveStats { solves: 1, solves_skipped: 0, prefix_solves: 4 };
         assert_eq!(solver.stats(), want, "one build fans out (seed {seed})");
@@ -289,7 +292,7 @@ fn batched_prefix_reuse_survives_capacity_changes() {
             } else {
                 solver.solve_same_demands(&base, &caps)
             };
-            assert_bits_eq(got, &solve(&base, &caps), "capacity sweep", seed);
+            assert_matches_solve(got, &base, &caps, "capacity sweep", seed);
         }
         let stats = solver.stats();
         assert_eq!(stats.solves, 1, "only the first call builds state: {stats:?}");
@@ -312,9 +315,9 @@ fn incremental_survives_interleaved_input_changes() {
         let mut solver = IncrementalSolver::new();
         for _ in 0..3 {
             let a = solver.solve(&a_entities, &a_caps);
-            assert_bits_eq(a, &solve(&a_entities, &a_caps), "interleaved a", seed);
+            assert_matches_solve(a, &a_entities, &a_caps, "interleaved a", seed);
             let b = solver.solve(&b_entities, &b_caps);
-            assert_bits_eq(b, &solve(&b_entities, &b_caps), "interleaved b", seed);
+            assert_matches_solve(b, &b_entities, &b_caps, "interleaved b", seed);
         }
     }
 }
@@ -346,7 +349,7 @@ fn same_demand_solves_match_plain_solves() {
                 _ => {}
             }
             let got = known.solve_same_demands(&entities, &caps);
-            assert_bits_eq(got, &solve(&entities, &caps), "same demands", seed);
+            assert_matches_solve(got, &entities, &caps, "same demands", seed);
         }
         let want = SolveStats { solves: 1, solves_skipped: 3, prefix_solves: 6 };
         assert_eq!(known.stats(), want, "one exact repeat per cycle (seed {seed})");
