@@ -499,45 +499,14 @@ mod spec {
 mod tests {
     use super::*;
     use crate::predictor::predict_jobs;
-    use pandia_topology::{CapacityProfile, DemandVector};
-
-    /// SplitMix64: the next value of the stream `state` seeds.
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw from `[lo, hi)`.
-    fn draw(rng: &mut u64, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64)
-    }
+    use crate::test_rng::{draw, random_machine, splitmix64};
+    use pandia_topology::DemandVector;
 
     const SHAPES: [MachineShape; 3] = [
         MachineShape { sockets: 2, cores_per_socket: 2, threads_per_core: 2 },
         MachineShape { sockets: 2, cores_per_socket: 8, threads_per_core: 2 },
         MachineShape { sockets: 4, cores_per_socket: 2, threads_per_core: 2 },
     ];
-
-    /// A machine of `shape` whose every resource, caches included, has a
-    /// finite random capacity, so any of them can be the bottleneck.
-    fn random_machine(rng: &mut u64, shape: MachineShape) -> MachineDescription {
-        let mut m = MachineDescription::toy();
-        m.shape = shape;
-        m.capacities = CapacityProfile {
-            core_issue: draw(rng, 4.0, 16.0),
-            l1_per_core: draw(rng, 10.0, 80.0),
-            l2_per_core: draw(rng, 5.0, 40.0),
-            l3_per_link: draw(rng, 3.0, 30.0),
-            l3_aggregate: draw(rng, 10.0, 100.0),
-            dram_per_socket: draw(rng, 20.0, 120.0),
-            interconnect_per_link: draw(rng, 10.0, 60.0),
-        };
-        m.smt_coschedule_factor = draw(rng, 0.5, 1.0);
-        m
-    }
 
     /// A job with non-zero demand at every level and per-socket DRAM,
     /// communication, partial load balance and burstiness; a quarter of

@@ -118,6 +118,7 @@ impl<K: Ord + Clone, V> LruMemo<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::splitmix64;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -171,14 +172,6 @@ mod tests {
             }
             gone
         }
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     #[test]

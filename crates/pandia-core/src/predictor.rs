@@ -29,7 +29,7 @@
 //! iterations to prevent oscillation, and all slowdowns are clamped to the
 //! range seen on the first iteration (§5.4).
 
-use pandia_topology::{HasShape, Placement, ResourceId, ResourceKind, ThreadId};
+use pandia_topology::{HasShape, Placement, ResourceId, ResourceKind};
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -153,62 +153,72 @@ pub fn predict_jobs(
     jobs: &[(&WorkloadDescription, &Placement)],
     config: &PredictorConfig,
 ) -> Result<Vec<Prediction>, PandiaError> {
+    let threads: usize = jobs.iter().map(|(_, p)| p.n_threads()).sum();
     let _span = pandia_obs::span("predictor", "predict_jobs")
         .arg("jobs", jobs.len())
-        .arg("threads", jobs.iter().map(|(_, p)| p.contexts().len()).sum::<usize>());
+        .arg("threads", threads);
     pandia_obs::count("predict.evals", 1);
     machine.validate()?;
     if jobs.is_empty() {
         return Ok(Vec::new());
     }
-    for (workload, _) in jobs {
+    let shape = machine.shape();
+    let contexts = shape.total_contexts();
+    let mismatch = |reason: String| Err(PandiaError::Mismatch { reason });
+    for (workload, placement) in jobs {
         workload.validate()?;
-        if workload.demand.dram.len() != machine.shape.sockets {
-            return Err(PandiaError::Mismatch {
-                reason: format!(
-                    "workload description '{}' has {} memory nodes but machine has {} sockets \
-                     (use retarget_sockets for cross-machine predictions)",
-                    workload.name,
-                    workload.demand.dram.len(),
-                    machine.shape.sockets
-                ),
-            });
+        if workload.demand.dram.len() != shape.sockets {
+            return mismatch(format!(
+                "workload description '{}' has {} memory nodes but machine has {} sockets \
+                 (use retarget_sockets for cross-machine predictions)",
+                workload.name,
+                workload.demand.dram.len(),
+                shape.sockets
+            ));
+        }
+        // `Placement::new` checks a placement against the shape it is
+        // given, which need not be this machine's; deserializing checks
+        // nothing.
+        if placement.n_threads() == 0 {
+            return mismatch(format!("placement of '{}' has no threads", workload.name));
+        }
+        if let Some(ctx) = placement.contexts().iter().find(|ctx| ctx.0 >= contexts) {
+            return mismatch(format!(
+                "placement of '{}' uses context {} but the machine has {contexts}",
+                workload.name, ctx.0
+            ));
         }
     }
-    let shape = machine.shape();
     let table = machine.resource_table();
 
-    // Flatten all jobs' threads; remember each thread's job.
-    struct JobCtx {
-        l: f64,
-        b: f64,
-        os: f64,
-        amdahl: f64,
-        f_initial: f64,
-        threads: std::ops::Range<usize>,
-    }
+    // Flatten all jobs' threads. Thread `t`'s route is
+    // `routes[route_start[t]..route_start[t + 1]]`: at most five core and
+    // L3 entries, a DRAM channel per memory node and a link per remote
+    // one. Sized up front: grown by reallocation, the flat buffer made
+    // small joint predictions up to 20% slower once the heap had aged.
     let mut job_ctx: Vec<JobCtx> = Vec::with_capacity(jobs.len());
-    let mut routes: Vec<Vec<(ResourceId, f64)>> = Vec::new();
-    let mut sockets: Vec<usize> = Vec::new();
-    let mut used_ctx = vec![false; shape.total_contexts()];
+    let mut routes: Vec<(ResourceId, f64)> = Vec::with_capacity(threads * (4 + 2 * shape.sockets));
+    let mut route_start = Vec::with_capacity(threads + 1);
+    route_start.push(0);
+    let mut sockets: Vec<usize> = Vec::with_capacity(threads);
+    let mut cores: Vec<usize> = Vec::with_capacity(threads);
+    let mut used_ctx = vec![false; contexts];
     let mut per_core = vec![0usize; shape.total_cores()];
     for (workload, placement) in jobs {
-        let n = placement.n_threads();
-        let start = routes.len();
-        for t in 0..n {
-            let ctx = placement.ctx_of(ThreadId(t));
+        let start = sockets.len();
+        for &ctx in placement.contexts() {
             if used_ctx[ctx.0] {
-                return Err(PandiaError::Mismatch {
-                    reason: format!("co-scheduled placements overlap at context {}", ctx.0),
-                });
+                return mismatch(format!("co-scheduled placements overlap at context {}", ctx.0));
             }
             used_ctx[ctx.0] = true;
-            per_core[shape.core_of_ctx(ctx).0] += 1;
-            let mut route = Vec::new();
-            workload.demand.route(&shape, &table, ctx, &mut route);
-            routes.push(route);
+            let core = shape.core_of_ctx(ctx).0;
+            per_core[core] += 1;
+            cores.push(core);
+            workload.demand.route(&shape, &table, ctx, &mut routes);
+            route_start.push(routes.len());
             sockets.push(shape.socket_of_ctx(ctx).0);
         }
+        let n = placement.n_threads();
         let amdahl = amdahl_speedup(workload.parallel_fraction, n);
         job_ctx.push(JobCtx {
             l: workload.load_balance,
@@ -219,18 +229,9 @@ pub fn predict_jobs(
             threads: start..start + n,
         });
     }
-    let total = routes.len();
-    // Flat context list across jobs, in the same order as `routes`.
-    let flat_ctxs: Vec<pandia_topology::CtxId> = jobs
-        .iter()
-        .flat_map(|(_, placement)| {
-            (0..placement.n_threads()).map(|i| placement.ctx_of(ThreadId(i)))
-        })
-        .collect();
-    let shares_core: Vec<bool> = flat_ctxs
-        .iter()
-        .map(|&ctx| per_core[shape.core_of_ctx(ctx).0] >= 2)
-        .collect();
+    let total = sockets.len();
+    let route = |t: usize| &routes[route_start[t]..route_start[t + 1]];
+    let shares_core: Vec<bool> = cores.iter().map(|&c| per_core[c] >= 2).collect();
 
     // Effective capacities: the measured SMT co-schedule factor shrinks the
     // issue capacity of cores hosting two or more threads (§3.2) — from
@@ -245,85 +246,63 @@ pub fn predict_jobs(
 
     let mut f: Vec<f64> =
         job_ctx.iter().flat_map(|j| j.threads.clone().map(move |_| j.f_initial)).collect();
+    let mut f_at_start = vec![0.0_f64; total];
+    let mut next_f = vec![0.0_f64; total];
     let mut s_res = vec![1.0_f64; total];
     let mut s = vec![1.0_f64; total];
     let mut comm = vec![0.0_f64; total];
     let mut lb = vec![0.0_f64; total];
     let mut bottleneck: Vec<Option<ResourceKind>> = vec![None; total];
     let mut loads = vec![0.0_f64; table.len()];
+    let mut terms = Vec::new();
+    let mut penalty = vec![None; shape.sockets];
     let mut s_cap = f64::INFINITY;
     let mut iterations = 0;
-    let f_initial_of: Vec<f64> =
-        job_ctx.iter().flat_map(|j| j.threads.clone().map(move |_| j.f_initial)).collect();
-    let job_of: Vec<usize> = job_ctx
-        .iter()
-        .enumerate()
-        .flat_map(|(k, j)| j.threads.clone().map(move |_| k))
-        .collect();
 
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
-        let f_at_start = f.clone();
+        f_at_start.copy_from_slice(&f);
 
         // Stage 1: resource contention (§5.1) over the *combined* loads.
-        loads.iter_mut().for_each(|v| *v = 0.0);
-        for t in 0..total {
-            for &(r, d) in &routes[t] {
-                loads[r.0] += d * f[t];
+        loads.fill(0.0);
+        for (t, &ft) in f.iter().enumerate() {
+            for &(r, d) in route(t) {
+                loads[r.0] += d * ft;
             }
         }
-        for t in 0..total {
-            let mut worst = 1.0_f64;
-            let mut worst_res = None;
-            for &(r, d) in &routes[t] {
-                if d <= 0.0 {
-                    continue;
-                }
-                let over = loads[r.0] / caps[r.0];
-                if over > worst {
-                    worst = over;
-                    worst_res = Some(table.get(r).kind);
-                }
-            }
-            let mut sr = worst;
-            if shares_core[t] {
-                sr *= 1.0 + job_ctx[job_of[t]].b * f[t];
-            }
-            s_res[t] = sr.clamp(1.0, s_cap);
-            s[t] = s_res[t];
-            bottleneck[t] = worst_res;
-            f[t] = f_initial_of[t] / s[t];
-        }
-
-        // Stage 2: inter-socket communication (§5.2), within each job.
         for job in &job_ctx {
-            let range = job.threads.clone();
-            let n = range.len();
-            if job.os <= 0.0 || n <= 1 {
-                for t in range {
-                    comm[t] = 0.0;
-                }
-                continue;
-            }
-            let works: Vec<f64> = range.clone().map(|t| 1.0 / s[t]).collect();
-            let total_work: f64 = works.iter().sum();
-            for t in range.clone() {
-                let mut lockstep = 0.0;
-                let mut independent = 0.0;
-                for j in range.clone() {
-                    if j == t || sockets[j] == sockets[t] {
+            for t in job.threads.clone() {
+                let mut worst = 1.0_f64;
+                let mut worst_res = None;
+                for &(r, d) in route(t) {
+                    if d <= 0.0 {
                         continue;
                     }
-                    lockstep += job.os;
-                    independent += works[j - range.start] / total_work * job.os;
+                    let over = loads[r.0] / caps[r.0];
+                    if over > worst {
+                        worst = over;
+                        worst_res = Some(table.get(r).kind);
+                    }
                 }
-                independent *= n as f64;
-                let penalty = job.l * independent + (1.0 - job.l) * lockstep;
-                comm[t] = penalty * f[t];
+                let mut sr = worst;
+                if shares_core[t] {
+                    sr *= 1.0 + job.b * f[t];
+                }
+                s_res[t] = sr.clamp(1.0, s_cap);
+                s[t] = s_res[t];
+                bottleneck[t] = worst_res;
+                f[t] = job.f_initial / s[t];
             }
-            for t in range {
+        }
+
+        // Stage 2: inter-socket communication (§5.2), within each job. A
+        // job without the stage adds 0.0, which leaves `s` and `f` as
+        // stage 1 set them.
+        for job in &job_ctx {
+            communication(job, &sockets, &s, &f, &mut terms, &mut penalty, &mut comm);
+            for t in job.threads.clone() {
                 s[t] = (s[t] + comm[t]).clamp(1.0, s_cap);
-                f[t] = f_initial_of[t] / s[t];
+                f[t] = job.f_initial / s[t];
             }
         }
 
@@ -335,7 +314,7 @@ pub fn predict_jobs(
                 let dragged = job.l * s[t] + (1.0 - job.l) * s_max;
                 lb[t] = dragged - s[t];
                 s[t] = dragged.clamp(1.0, s_cap);
-                f[t] = f_initial_of[t] / s[t];
+                f[t] = job.f_initial / s[t];
             }
         }
 
@@ -346,11 +325,13 @@ pub fn predict_jobs(
         }
 
         // Feedback into the next iteration (§5.4).
-        let mut next_f: Vec<f64> =
-            (0..total).map(|t| f_initial_of[t] * (s_res[t] / s[t])).collect();
-        if iter + 1 >= config.dampen_after {
-            for t in 0..total {
-                next_f[t] = 0.5 * (next_f[t] + f_at_start[t]);
+        let dampen = iter + 1 >= config.dampen_after;
+        for job in &job_ctx {
+            for t in job.threads.clone() {
+                next_f[t] = job.f_initial * (s_res[t] / s[t]);
+                if dampen {
+                    next_f[t] = 0.5 * (next_f[t] + f_at_start[t]);
+                }
             }
         }
         let delta = next_f
@@ -358,15 +339,14 @@ pub fn predict_jobs(
             .zip(&f_at_start)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0_f64, f64::max);
-        f = next_f;
+        std::mem::swap(&mut f, &mut next_f);
         if delta < config.tolerance {
             break;
         }
     }
 
     let mut results = Vec::with_capacity(jobs.len());
-    for (k, (workload, placement)) in jobs.iter().enumerate() {
-        let job = &job_ctx[k];
+    for (job, (workload, placement)) in job_ctx.iter().zip(jobs) {
         let range = job.threads.clone();
         let n = range.len();
         let harmonic: f64 = range.clone().map(|t| 1.0 / s[t]).sum::<f64>() / n as f64;
@@ -377,7 +357,7 @@ pub fn predict_jobs(
                 communication_penalty: comm[t],
                 load_balance_penalty: lb[t],
                 slowdown: s[t],
-                utilization: f_initial_of[t] / s[t],
+                utilization: job.f_initial / s[t],
                 bottleneck: bottleneck[t],
             })
             .collect();
@@ -394,6 +374,70 @@ pub fn predict_jobs(
     Ok(results)
 }
 
+/// One job of a [`predict_jobs`] call: its model parameters and its
+/// threads' range in the flattened per-thread arrays.
+struct JobCtx {
+    l: f64,
+    b: f64,
+    os: f64,
+    amdahl: f64,
+    f_initial: f64,
+    threads: std::ops::Range<usize>,
+}
+
+/// Stage 2 (§5.2) for one job: writes the communication penalty of
+/// each of its threads to `comm`, from the threads' `sockets`, their
+/// slowdowns `s` after stage 1 and their utilizations `f` (all indexed
+/// like `job.threads`).
+///
+/// A thread on socket `S` sums one term per peer on another socket, in
+/// ascending peer order, and that sum is the same for every thread on
+/// `S`: it is computed once per occupied socket and kept in `penalty`
+/// (one slot per socket of the machine). The additions stay one per
+/// peer, as in the per-thread sum (`tests::communication_spec`), so the
+/// result is the same to the bit; `k·os`, or the job total less the own
+/// socket's share, would round differently. `terms` is scratch for the
+/// per-peer independent terms.
+fn communication(
+    job: &JobCtx,
+    sockets: &[usize],
+    s: &[f64],
+    f: &[f64],
+    terms: &mut Vec<f64>,
+    penalty: &mut [Option<f64>],
+    comm: &mut [f64],
+) {
+    let r = job.threads.clone();
+    let (sockets, s, f, comm) = (&sockets[r.clone()], &s[r.clone()], &f[r.clone()], &mut comm[r]);
+    let n = s.len();
+    if job.os <= 0.0 || n <= 1 {
+        comm.fill(0.0);
+        return;
+    }
+    terms.clear();
+    terms.extend(s.iter().map(|s_j| 1.0 / s_j));
+    let total_work: f64 = terms.iter().sum();
+    for w in terms.iter_mut() {
+        *w = *w / total_work * job.os;
+    }
+    penalty.fill(None);
+    for (t, &own) in sockets.iter().enumerate() {
+        let p = *penalty[own].get_or_insert_with(|| {
+            let mut lockstep = 0.0;
+            let mut independent = 0.0;
+            for (&socket, &term) in sockets.iter().zip(terms.iter()) {
+                if socket != own {
+                    lockstep += job.os;
+                    independent += term;
+                }
+            }
+            independent *= n as f64;
+            job.l * independent + (1.0 - job.l) * lockstep
+        });
+        comm[t] = p * f[t];
+    }
+}
+
 /// Amdahl's-law speedup of `n_threads` threads at parallel fraction
 /// `parallel_fraction`: the speedup a prediction reaches when no thread
 /// is slowed down, and so the most any prediction reaches.
@@ -404,6 +448,7 @@ pub(crate) fn amdahl_speedup(parallel_fraction: f64, n_threads: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::{draw, random_machine, splitmix64};
     use pandia_topology::{CanonicalPlacement, CtxId, MachineShape};
 
     /// The placement of the worked example: threads U and V share a core
@@ -676,6 +721,231 @@ mod tests {
             .sum();
         let dram0 = pred.resource_loads[table.dram(pandia_topology::SocketId(0)).0];
         assert!((dram0 - 40.0 * f_sum).abs() < 2.0, "dram0 {dram0} vs 40*{f_sum}");
+    }
+
+    /// A workload with demand at every level; `l` is 0, 1 or random and
+    /// `os` is 0 for one workload in five.
+    fn random_workload(rng: &mut u64, sockets: usize) -> WorkloadDescription {
+        let scale = 10f64.powf(draw(rng, -2.0, 0.0));
+        WorkloadDescription {
+            name: "random".into(),
+            machine: "random".into(),
+            t1: draw(rng, 10.0, 1000.0),
+            demand: pandia_topology::DemandVector {
+                instr: draw(rng, 0.5, 10.0),
+                l1: scale * draw(rng, 0.1, 20.0),
+                l2: scale * draw(rng, 0.1, 10.0),
+                l3: scale * draw(rng, 0.1, 5.0),
+                dram: (0..sockets).map(|_| scale * draw(rng, 0.1, 20.0)).collect(),
+            },
+            parallel_fraction: draw(rng, 0.5, 1.0),
+            inter_socket_overhead: match splitmix64(rng) % 5 {
+                0 => 0.0,
+                _ => draw(rng, 0.001, 0.05),
+            },
+            load_balance: match splitmix64(rng) % 4 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => draw(rng, 0.0, 1.0),
+            },
+            burstiness: draw(rng, 0.0, 1.0),
+        }
+    }
+
+    /// `jobs` disjoint placements of random sizes over a random
+    /// permutation of the machine's contexts, so each job's threads
+    /// visit the sockets in no particular order.
+    fn random_placements(rng: &mut u64, shape: MachineShape, jobs: usize) -> Vec<Placement> {
+        let total = shape.total_contexts();
+        let mut ctxs: Vec<CtxId> = (0..total).map(CtxId).collect();
+        for i in (1..total).rev() {
+            ctxs.swap(i, (splitmix64(rng) % (i as u64 + 1)) as usize);
+        }
+        let mut rest = &ctxs[..];
+        (0..jobs)
+            .map(|_| {
+                let n = 1 + (splitmix64(rng) % (total / jobs) as u64) as usize;
+                let (taken, left) = rest.split_at(n);
+                rest = left;
+                Placement::new(&shape, taken.to_vec()).unwrap()
+            })
+            .collect()
+    }
+
+    /// §5.2 as the paper states it: each thread sums over every other
+    /// thread, skipping those on its own socket.
+    fn communication_spec(job: &JobCtx, sockets: &[usize], s: &[f64], f: &[f64]) -> Vec<f64> {
+        let n = s.len();
+        if job.os <= 0.0 || n <= 1 {
+            return vec![0.0; n];
+        }
+        let works: Vec<f64> = s.iter().map(|s| 1.0 / s).collect();
+        let total_work: f64 = works.iter().sum();
+        (0..n)
+            .map(|t| {
+                let mut lockstep = 0.0;
+                let mut independent = 0.0;
+                for j in 0..n {
+                    if j == t || sockets[j] == sockets[t] {
+                        continue;
+                    }
+                    lockstep += job.os;
+                    independent += works[j] / total_work * job.os;
+                }
+                independent *= n as f64;
+                (job.l * independent + (1.0 - job.l) * lockstep) * f[t]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn communication_matches_the_per_thread_spec_bit_for_bit() {
+        let mut rng = 0xc0_ffee_u64;
+        let mut confined = 0;
+        for sockets_n in [1, 2, 4, 9] {
+            let mut penalty = vec![None; sockets_n];
+            let mut terms = Vec::new();
+            for case in 0..200 {
+                // 1-3 jobs, 80 threads at most, laid out one after another
+                // in the flat arrays and sharing the scratch buffers.
+                let (mut jobs, mut sockets, mut one_socket) = (Vec::new(), Vec::new(), Vec::new());
+                for _ in 0..1 + case % 3 {
+                    let n = 1 + (splitmix64(&mut rng) % (80 / (1 + case % 3)) as u64) as usize;
+                    let home = (splitmix64(&mut rng) % sockets_n as u64) as usize;
+                    let confine = splitmix64(&mut rng).is_multiple_of(5);
+                    let start = sockets.len();
+                    sockets.extend((0..n).map(|_| {
+                        let other = (splitmix64(&mut rng) % sockets_n as u64) as usize;
+                        if confine { home } else { other }
+                    }));
+                    one_socket.push(confine);
+                    jobs.push(JobCtx {
+                        l: match splitmix64(&mut rng) % 4 {
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => draw(&mut rng, 0.0, 1.0),
+                        },
+                        b: 0.0,
+                        os: match splitmix64(&mut rng) % 6 {
+                            0 => 0.0,
+                            _ => draw(&mut rng, 0.0, 0.1),
+                        },
+                        amdahl: 1.0,
+                        f_initial: 1.0,
+                        threads: start..start + n,
+                    });
+                }
+                let s: Vec<f64> = sockets.iter().map(|_| draw(&mut rng, 1.0, 5.0)).collect();
+                let f: Vec<f64> = sockets.iter().map(|_| draw(&mut rng, 0.01, 1.0)).collect();
+                let mut comm = vec![f64::NAN; sockets.len()];
+                for (job, &confine) in jobs.iter().zip(&one_socket) {
+                    communication(job, &sockets, &s, &f, &mut terms, &mut penalty, &mut comm);
+                    let r = job.threads.clone();
+                    let spec =
+                        communication_spec(job, &sockets[r.clone()], &s[r.clone()], &f[r.clone()]);
+                    for (t, want) in r.clone().zip(spec) {
+                        assert_eq!(
+                            comm[t].to_bits(),
+                            want.to_bits(),
+                            "thread {t} of {r:?} on {sockets_n} sockets: {} vs spec {want}",
+                            comm[t]
+                        );
+                    }
+                    if confine {
+                        confined += 1;
+                        assert!(comm[r].iter().all(|c| c.to_bits() == 0.0_f64.to_bits()));
+                    }
+                }
+            }
+        }
+        assert!(confined > 100, "{confined} jobs confined to one socket");
+    }
+
+    #[test]
+    fn placement_for_a_larger_machine_is_rejected() {
+        let m = MachineDescription::toy();
+        let bigger = MachineShape { sockets: 2, cores_per_socket: 4, threads_per_core: 2 };
+        let p = Placement::new(&bigger, vec![CtxId(0), CtxId(9)]).unwrap();
+        let err = predict(&m, &WorkloadDescription::example(), &p, &PredictorConfig::default());
+        assert!(matches!(err, Err(PandiaError::Mismatch { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn empty_deserialized_placement_is_rejected() {
+        // `Placement::new` refuses an empty placement; deserializing does not.
+        let p: Placement = serde_json::from_str(r#"{"ctxs":[]}"#).unwrap();
+        assert_eq!(p.n_threads(), 0);
+        let m = MachineDescription::toy();
+        let err = predict(&m, &WorkloadDescription::example(), &p, &PredictorConfig::default());
+        assert!(matches!(err, Err(PandiaError::Mismatch { .. })), "{err:?}");
+    }
+
+    /// Folds one word into a digest; a bijection in the digest, so one
+    /// changed word always changes the result.
+    fn fold(digest: u64, word: u64) -> u64 {
+        let mut state = digest ^ word;
+        splitmix64(&mut state)
+    }
+
+    fn fold_prediction(mut h: u64, p: &Prediction) -> u64 {
+        for x in [p.speedup, p.predicted_time, p.amdahl_speedup] {
+            h = fold(h, x.to_bits());
+        }
+        h = fold(h, p.iterations as u64);
+        h = fold(h, p.n_threads as u64);
+        for t in &p.threads {
+            for x in [
+                t.resource_slowdown,
+                t.communication_penalty,
+                t.load_balance_penalty,
+                t.slowdown,
+                t.utilization,
+            ] {
+                h = fold(h, x.to_bits());
+            }
+            let label = t.bottleneck.map(|k| k.label()).unwrap_or_default();
+            h = label.bytes().fold(fold(h, label.len() as u64), |h, b| fold(h, u64::from(b)));
+        }
+        p.resource_loads.iter().fold(h, |h, x| fold(h, x.to_bits()))
+    }
+
+    #[test]
+    fn seeded_predictions_fold_to_the_recorded_digest() {
+        // Every output bit of single-job and 2-3-job predictions on 1-, 2-
+        // and 4-socket machines with one and two SMT slots per core. Any
+        // change to the predictor's arithmetic moves the digest, so a
+        // rewrite that must keep the bits can be checked against it.
+        const SHAPES: [MachineShape; 6] = [
+            MachineShape { sockets: 1, cores_per_socket: 4, threads_per_core: 1 },
+            MachineShape { sockets: 1, cores_per_socket: 4, threads_per_core: 2 },
+            MachineShape { sockets: 2, cores_per_socket: 4, threads_per_core: 1 },
+            MachineShape { sockets: 2, cores_per_socket: 6, threads_per_core: 2 },
+            MachineShape { sockets: 4, cores_per_socket: 3, threads_per_core: 1 },
+            MachineShape { sockets: 4, cores_per_socket: 2, threads_per_core: 2 },
+        ];
+        let default = PredictorConfig::default();
+        let dampened = PredictorConfig { tolerance: 1e-12, dampen_after: 3, max_iterations: 40 };
+        let mut rng = 0x5eed_d1e5_u64;
+        let mut digest = 0;
+        let mut predictions = 0;
+        for shape in SHAPES {
+            for case in 0..40 {
+                let m = random_machine(&mut rng, shape);
+                let jobs = if case % 2 == 0 { 1 } else { 2 + (splitmix64(&mut rng) % 2) as usize };
+                let workloads: Vec<WorkloadDescription> =
+                    (0..jobs).map(|_| random_workload(&mut rng, shape.sockets)).collect();
+                let placements = random_placements(&mut rng, shape, jobs);
+                let pairs: Vec<(&WorkloadDescription, &Placement)> =
+                    workloads.iter().zip(&placements).collect();
+                let config = if case % 4 == 3 { &dampened } else { &default };
+                for p in predict_jobs(&m, &pairs, config).unwrap() {
+                    digest = fold_prediction(digest, &p);
+                    predictions += 1;
+                }
+            }
+        }
+        assert_eq!(predictions, 421);
+        assert_eq!(digest, 0xb0fe_a791_a8be_4412, "digest {digest:#018x}");
     }
 
     #[test]
