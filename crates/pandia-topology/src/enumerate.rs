@@ -48,6 +48,8 @@ pub struct PlacementEnumerator {
     /// All possible single-socket occupancy vectors (descending), sorted
     /// descending, *excluding* the empty socket.
     socket_options: Vec<Vec<u8>>,
+    /// Threads in each entry of `socket_options`.
+    option_threads: Vec<usize>,
 }
 
 impl PlacementEnumerator {
@@ -57,7 +59,9 @@ impl PlacementEnumerator {
         let mut socket_options =
             socket_partitions(spec.cores_per_socket, spec.threads_per_core as u8);
         socket_options.sort_by(|a, b| b.cmp(a));
-        Self { sockets: spec.sockets, socket_options }
+        let option_threads =
+            socket_options.iter().map(|o| o.iter().map(|&v| v as usize).sum()).collect();
+        Self { sockets: spec.sockets, socket_options, option_threads }
     }
 
     /// Total number of canonical placements (any thread count ≥ 1),
@@ -94,10 +98,8 @@ impl PlacementEnumerator {
     /// [`Self::count`] is large.
     pub fn all(&self) -> Vec<CanonicalPlacement> {
         let _span = pandia_obs::span("topology", "enumerate_all");
-        let mut out = Vec::new();
-        let mut current: Vec<Vec<u8>> = Vec::new();
-        self.gen_rec(0, usize::MAX, &mut current, &mut |p| out.push(p));
-        sort_placements(&mut out);
+        let widest = self.option_threads.iter().max().copied().unwrap_or(0);
+        let out = self.by_threads(self.sockets * widest, |_, _| true);
         pandia_obs::count("topology.placements_enumerated", out.len() as u64);
         out
     }
@@ -105,13 +107,11 @@ impl PlacementEnumerator {
     /// Every canonical placement with exactly `n` threads, sorted.
     pub fn for_threads(&self, n: usize) -> Vec<CanonicalPlacement> {
         let mut out = Vec::new();
-        let mut current: Vec<Vec<u8>> = Vec::new();
-        self.gen_rec(0, n, &mut current, &mut |p| {
-            if p.total_threads() == n {
-                out.push(p);
+        self.walk(n, &mut |path, threads| {
+            if threads == n {
+                out.push(self.placement(path));
             }
         });
-        sort_placements(&mut out);
         out
     }
 
@@ -121,20 +121,18 @@ impl PlacementEnumerator {
     /// This mirrors the paper's partial coverage of the X5-2 placement space
     /// (§6.1) while remaining reproducible.
     pub fn sampled(&self, shape: &impl HasShape, per_n: usize) -> Vec<CanonicalPlacement> {
-        let spec: MachineShape = shape.shape();
-        let mut out = Vec::new();
-        for n in 1..=spec.total_contexts() {
-            let all_n = self.for_threads(n);
-            if all_n.len() <= per_n {
-                out.extend(all_n);
-            } else {
-                for i in 0..per_n {
-                    let idx = i * all_n.len() / per_n;
-                    out.push(all_n[idx].clone());
-                }
-            }
-        }
-        out
+        let max_threads = shape.shape().total_contexts();
+        let mut lens = vec![0; max_threads + 1];
+        self.walk(max_threads, &mut |_, threads| lens[threads] += 1);
+        // The picks from a list of `len` are `i·len/per_n` for `i < per_n`,
+        // increasing in `i`, so each count keeps the next `i` to match.
+        let mut next = vec![0; max_threads + 1];
+        self.by_threads(max_threads, |threads, rank| {
+            let (len, i) = (lens[threads], &mut next[threads]);
+            let pick = len <= per_n || (*i < per_n && rank == *i * len / per_n);
+            *i += usize::from(pick);
+            pick
+        })
     }
 
     /// The §6.3 "simple sweep" baseline: for each thread count `1..=max`,
@@ -161,34 +159,65 @@ impl PlacementEnumerator {
         out
     }
 
-    fn gen_rec(
+    /// The walk's placements with at most `max_threads` threads that `keep`
+    /// accepts, grouped by thread count. `keep(threads, rank)` sees a
+    /// placement's thread count and how many placements with that count the
+    /// walk visited before it. A group keeps the walk's order, so the result
+    /// is sorted by [`CanonicalPlacement::sort_key`].
+    fn by_threads(
         &self,
-        start: usize,
-        remaining: usize,
-        current: &mut Vec<Vec<u8>>,
-        emit: &mut impl FnMut(CanonicalPlacement),
-    ) {
-        if !current.is_empty() {
-            let total: usize =
-                current.iter().flat_map(|s| s.iter()).map(|&v| v as usize).sum();
-            if remaining == usize::MAX || total <= remaining {
-                emit(CanonicalPlacement { sockets: current.clone() });
+        max_threads: usize,
+        mut keep: impl FnMut(usize, usize) -> bool,
+    ) -> Vec<CanonicalPlacement> {
+        let mut groups: Vec<Vec<CanonicalPlacement>> = vec![Vec::new(); max_threads + 1];
+        let mut ranks = vec![0; max_threads + 1];
+        self.walk(max_threads, &mut |path, threads| {
+            if keep(threads, ranks[threads]) {
+                groups[threads].push(self.placement(path));
+            }
+            ranks[threads] += 1;
+        });
+        groups.into_iter().flatten().collect()
+    }
+
+    /// Visits every placement with at most `max_threads` threads, in
+    /// ascending `sockets` order, as its indices into `socket_options` and
+    /// its thread count.
+    ///
+    /// A placement's indices never decrease, and the options are sorted
+    /// descending. Visiting a placement before its extensions, and the next
+    /// socket's options from the last index to `start` (options ascending),
+    /// is therefore a lexicographic walk: a prefix sorts before its
+    /// extensions, and a sibling's subtree before every later sibling's.
+    fn walk(&self, max_threads: usize, visit: &mut impl FnMut(&[usize], usize)) {
+        fn rec(
+            e: &PlacementEnumerator,
+            path: &mut Vec<usize>,
+            threads: usize,
+            max_threads: usize,
+            visit: &mut impl FnMut(&[usize], usize),
+        ) {
+            if path.len() == e.sockets {
+                return;
+            }
+            let start = path.last().copied().unwrap_or(0);
+            for i in (start..e.socket_options.len()).rev() {
+                let total = threads + e.option_threads[i];
+                if total <= max_threads {
+                    path.push(i);
+                    visit(path, total);
+                    rec(e, path, total, max_threads, visit);
+                    path.pop();
+                }
             }
         }
-        if current.len() == self.sockets {
-            return;
-        }
-        let used: usize = current.iter().flat_map(|s| s.iter()).map(|&v| v as usize).sum();
-        for i in start..self.socket_options.len() {
-            let opt = &self.socket_options[i];
-            let opt_total: usize = opt.iter().map(|&v| v as usize).sum();
-            if remaining != usize::MAX && used + opt_total > remaining {
-                continue;
-            }
-            // lint: allow(H2): one-shot enumeration emits owned rows
-            current.push(opt.clone());
-            self.gen_rec(i, remaining, current, emit);
-            current.pop();
+        rec(self, &mut Vec::with_capacity(self.sockets), 0, max_threads, visit);
+    }
+
+    /// The placement a walk path names.
+    fn placement(&self, path: &[usize]) -> CanonicalPlacement {
+        CanonicalPlacement {
+            sockets: path.iter().map(|&i| self.socket_options[i].clone()).collect(),
         }
     }
 }
@@ -219,6 +248,87 @@ fn socket_partitions(cores: usize, max_part: u8) -> Vec<Vec<u8>> {
     }
     rec(cores, max_part, &mut current, &mut out);
     out
+}
+
+/// The enumerator the ordered walk replaced, kept as its reference: one
+/// walk per call, pruned by the thread budget, every visited placement
+/// cloned, then sorted by [`CanonicalPlacement::sort_key`]; `sampled`
+/// re-walks the space once per thread count.
+#[cfg(test)]
+mod spec {
+    use super::*;
+
+    pub fn all(e: &PlacementEnumerator) -> Vec<CanonicalPlacement> {
+        let mut out = Vec::new();
+        let mut current: Vec<Vec<u8>> = Vec::new();
+        gen_rec(e, 0, usize::MAX, &mut current, &mut |p| out.push(p));
+        out.sort_by_key(|p| p.sort_key());
+        out
+    }
+
+    pub fn for_threads(e: &PlacementEnumerator, n: usize) -> Vec<CanonicalPlacement> {
+        let mut out = Vec::new();
+        let mut current: Vec<Vec<u8>> = Vec::new();
+        gen_rec(e, 0, n, &mut current, &mut |p| {
+            if p.total_threads() == n {
+                out.push(p);
+            }
+        });
+        out.sort_by_key(|p| p.sort_key());
+        out
+    }
+
+    pub fn sampled(
+        e: &PlacementEnumerator,
+        shape: &impl HasShape,
+        per_n: usize,
+    ) -> Vec<CanonicalPlacement> {
+        let spec: MachineShape = shape.shape();
+        let mut out = Vec::new();
+        for n in 1..=spec.total_contexts() {
+            let all_n = for_threads(e, n);
+            if all_n.len() <= per_n {
+                out.extend(all_n);
+            } else {
+                for i in 0..per_n {
+                    let idx = i * all_n.len() / per_n;
+                    out.push(all_n[idx].clone());
+                }
+            }
+        }
+        out
+    }
+
+    fn gen_rec(
+        e: &PlacementEnumerator,
+        start: usize,
+        remaining: usize,
+        current: &mut Vec<Vec<u8>>,
+        emit: &mut impl FnMut(CanonicalPlacement),
+    ) {
+        if !current.is_empty() {
+            let total: usize =
+                current.iter().flat_map(|s| s.iter()).map(|&v| v as usize).sum();
+            if remaining == usize::MAX || total <= remaining {
+                emit(CanonicalPlacement { sockets: current.clone() });
+            }
+        }
+        if current.len() == e.sockets {
+            return;
+        }
+        let used: usize = current.iter().flat_map(|s| s.iter()).map(|&v| v as usize).sum();
+        for i in start..e.socket_options.len() {
+            let opt = &e.socket_options[i];
+            let opt_total: usize = opt.iter().map(|&v| v as usize).sum();
+            if remaining != usize::MAX && used + opt_total > remaining {
+                continue;
+            }
+            // lint: allow(H2): one-shot enumeration emits owned rows
+            current.push(opt.clone());
+            gen_rec(e, i, remaining, current, emit);
+            current.pop();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -347,5 +457,85 @@ mod tests {
         assert!(PlacementClass::WholeMachine.contains(&p));
         let q = CanonicalPlacement::new(vec![vec![2, 2, 2], vec![1]]);
         assert!(PlacementClass::TwoSocket.contains(&q));
+    }
+
+    /// Per-n sample budgets for the spec comparison: none, tiny strides,
+    /// the CLI's 8, the paper densities and more than any count holds.
+    const PER_N: [usize; 10] = [0, 1, 2, 3, 4, 8, 10, 12, 42, 1000];
+
+    #[test]
+    fn enumeration_matches_the_spec() {
+        for machine in [MachineSpec::toy(), MachineSpec::x3_2(), MachineSpec::x4_2()] {
+            let e = PlacementEnumerator::new(&machine);
+            assert_eq!(e.all(), spec::all(&e));
+            for n in 0..=machine.total_contexts() + 1 {
+                assert_eq!(e.for_threads(n), spec::for_threads(&e, n), "n = {n}");
+            }
+            for per_n in PER_N {
+                let want = spec::sampled(&e, &machine, per_n);
+                assert_eq!(e.sampled(&machine, per_n), want, "per_n = {per_n}");
+            }
+        }
+        // x5-2 in part: the spec's per-count re-walks take seconds there
+        // in an unoptimized build.
+        let x5_2 = MachineSpec::x5_2();
+        let e = PlacementEnumerator::new(&x5_2);
+        assert_eq!(e.all(), spec::all(&e));
+        for per_n in [3, 42] {
+            assert_eq!(e.sampled(&x5_2, per_n), spec::sampled(&e, &x5_2, per_n), "per_n = {per_n}");
+        }
+    }
+
+    /// FNV-1a over every occupancy byte in order, with a separator byte
+    /// after each socket and each placement, so two lists that differ in
+    /// any byte or in where a socket or placement ends fold apart.
+    fn digest(placements: &[CanonicalPlacement], mut h: u64) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut fold = |b: u8| h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        for p in placements {
+            for socket in &p.sockets {
+                socket.iter().for_each(|&b| fold(b));
+                fold(0xfe);
+            }
+            fold(0xff);
+        }
+        h
+    }
+
+    #[test]
+    fn x2_4_samples_fold_to_the_recorded_digest() {
+        // The four-socket samples fig12 and `sampled` callers see, pinned
+        // bit for bit: the spec is too slow to compare against here.
+        let x2_4 = MachineSpec::x2_4();
+        let e = PlacementEnumerator::new(&x2_4);
+        let (coarse, dense) = (e.sampled(&x2_4, 3), e.sampled(&x2_4, 42));
+        assert_eq!((coarse.len(), dense.len()), (234, 2953));
+        let h = digest(&dense, digest(&coarse, 0xcbf2_9ce4_8422_2325));
+        assert_eq!(h, 0xa0f0_95d3_e21b_3a6a, "digest {h:#018x}");
+    }
+
+    #[test]
+    fn walk_visits_each_placement_once() {
+        for (machine, placements) in [(MachineSpec::x5_2(), 18_144), (MachineSpec::x2_4(), 864_500)]
+        {
+            let e = PlacementEnumerator::new(&machine);
+            let mut visits = 0;
+            e.walk(usize::MAX, &mut |_, _| visits += 1);
+            assert_eq!(visits, e.count());
+            assert_eq!(visits, placements);
+        }
+    }
+
+    #[test]
+    fn enumeration_is_strictly_sorted_and_canonical() {
+        for machine in [MachineSpec::x3_2(), MachineSpec::x5_2()] {
+            let all = PlacementEnumerator::new(&machine).all();
+            assert!(all.windows(2).all(|w| w[0].sort_key() < w[1].sort_key()));
+        }
+        let x2_4 = MachineSpec::x2_4();
+        for c in PlacementEnumerator::new(&x2_4).sampled(&x2_4, 3) {
+            let p = c.instantiate(&x2_4).expect("sampled placement must fit");
+            assert_eq!(p.canonicalize(&x2_4), c);
+        }
     }
 }
