@@ -19,21 +19,26 @@
 //!   worker count.
 //! * [`PredictionCache`] — a sharded, thread-safe, bounded memo table
 //!   keyed by a stable fingerprint of (machine description, workload
-//!   description, placement contexts, predictor config). Repeated sweeps
-//!   over overlapping candidate sets (e.g. `plan` followed by
+//!   description, placement contexts, predictor config). Each shard is a
+//!   hashed LRU index ([`LruMemo`]), so a hit is one probe. Repeated
+//!   sweeps over overlapping candidate sets (e.g. `plan` followed by
 //!   `scaling_profile`) hit the cache instead of re-running the
-//!   fixed-point iteration. Stored predictions are shared, so a hit is a
-//!   reference-count bump, not a copy.
+//!   fixed-point iteration. Stored predictions are shared, so a hit is
+//!   read in place or a reference-count bump, never a copy.
 //!
 //! [`PredictSession`] and [`JointSession`] bind the two together for
 //! single-workload and co-scheduled predictions respectively: they hash
 //! the sweep-invariant inputs once, then extend the fingerprint with
 //! each placement's context list per call.
+//! [`PredictSession::predict_batch`] answers a whole candidate list:
+//! it keys each canonical placement from its context walk, reads every
+//! hit in place under one lock per shard, and instantiates and predicts
+//! only the misses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use pandia_topology::Placement;
+use pandia_topology::{CanonicalPlacement, Placement, TopologyError};
 
 use crate::{
     description::MachineDescription,
@@ -143,6 +148,11 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 /// One shard: a bounded LRU memo of shared prediction slices.
 type Shard = Mutex<LruMemo<u128, Arc<[Prediction]>>>;
 
+/// The shard a key lives in: its low bits.
+fn shard_index(key: u128) -> usize {
+    (key as usize) & (SHARD_COUNT - 1)
+}
+
 fn lock(shard: &Shard) -> MutexGuard<'_, LruMemo<u128, Arc<[Prediction]>>> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -181,7 +191,7 @@ impl PredictionCache {
     /// entries (rounded up to a multiple of the shard count).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            shards: [const { Mutex::new(LruMemo::new()) }; SHARD_COUNT],
+            shards: std::array::from_fn(|_| Mutex::new(LruMemo::new())),
             shard_capacity: capacity.div_ceil(SHARD_COUNT).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -195,22 +205,56 @@ impl PredictionCache {
     }
 
     fn shard(&self, key: u128) -> &Shard {
-        &self.shards[(key as usize) & (SHARD_COUNT - 1)]
+        &self.shards[shard_index(key)]
     }
 
-    /// Looks a key up, counting the hit or miss (both locally and, when
-    /// telemetry is on, in the global metrics registry). A hit refreshes
-    /// the entry's recency and shares the stored slice.
+    /// Counts hits and misses, both locally and, when telemetry is on, in
+    /// the global metrics registry.
+    fn tally(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+            pandia_obs::count("predict.cache.hits", hits);
+        }
+        if misses > 0 {
+            self.misses.fetch_add(misses, Ordering::Relaxed);
+            pandia_obs::count("predict.cache.misses", misses);
+        }
+    }
+
+    /// Looks a key up, counting the hit or miss. A hit refreshes the
+    /// entry's recency and shares the stored slice.
     pub fn lookup(&self, key: u128) -> Option<Arc<[Prediction]>> {
         let found = lock(self.shard(key)).get(&key).cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            pandia_obs::count("predict.cache.hits", 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            pandia_obs::count("predict.cache.misses", 1);
-        }
+        let hit = u64::from(found.is_some());
+        self.tally(hit, 1 - hit);
         found
+    }
+
+    /// Looks up a batch of `(index, key)` pairs, locking each shard once,
+    /// and hands every stored slice to `hit(index, slice)` where it is
+    /// stored. Within a shard the keys are read, and so refreshed, in
+    /// batch order. `hit` runs under the shard's lock, so it must not
+    /// touch the cache. The batch's hits and misses are counted with one
+    /// add each.
+    fn read_batch(&self, keys: &[(usize, u128)], mut hit: impl FnMut(usize, &[Prediction])) {
+        let mut by_shard: [Vec<(usize, u128)>; SHARD_COUNT] = Default::default();
+        for &(i, key) in keys {
+            by_shard[shard_index(key)].push((i, key));
+        }
+        let mut hits = 0;
+        for (shard, keys) in self.shards.iter().zip(&by_shard) {
+            if keys.is_empty() {
+                continue;
+            }
+            let mut memo = lock(shard);
+            for &(i, key) in keys {
+                if let Some(stored) = memo.get(&key) {
+                    hit(i, stored);
+                    hits += 1;
+                }
+            }
+        }
+        self.tally(hits, keys.len() as u64 - hits);
     }
 
     /// Stores predictions under a key, evicting the shard's
@@ -434,13 +478,15 @@ impl Default for ExecContext {
 ///
 /// The sweep-invariant inputs are serialized and hashed once at
 /// construction; each [`PredictSession::predict_with`] call extends that
-/// prefix with the placement's concrete context list. With memoization
-/// disabled this is a zero-cost wrapper around [`predict`].
+/// prefix with the placement's concrete context list, and
+/// [`PredictSession::predict_batch`] with each candidate's walked one.
+/// With memoization disabled this is a zero-cost wrapper around
+/// [`predict`].
 pub struct PredictSession<'a> {
+    exec: &'a ExecContext,
     machine: &'a MachineDescription,
     workload: &'a WorkloadDescription,
     config: &'a PredictorConfig,
-    cache: Option<&'a PredictionCache>,
     prefix: Fingerprint,
 }
 
@@ -452,14 +498,13 @@ impl<'a> PredictSession<'a> {
         workload: &'a WorkloadDescription,
         config: &'a PredictorConfig,
     ) -> Result<Self, PandiaError> {
-        let cache = exec.cache();
         let mut prefix = Fingerprint::new();
-        if cache.is_some() {
+        if exec.cache().is_some() {
             prefix.write_str(&serde_json::to_string(machine)?);
             prefix.write_str(&serde_json::to_string(workload)?);
             prefix.write_str(&serde_json::to_string(config)?);
         }
-        Ok(Self { machine, workload, config, cache, prefix })
+        Ok(Self { exec, machine, workload, config, prefix })
     }
 
     /// Predicts one placement, consulting the cache first.
@@ -476,7 +521,7 @@ impl<'a> PredictSession<'a> {
         placement: &Placement,
         read: impl FnOnce(&Prediction) -> R,
     ) -> Result<R, PandiaError> {
-        let Some(cache) = self.cache else {
+        let Some(cache) = self.exec.cache() else {
             return predict(self.machine, self.workload, placement, self.config).map(|p| read(&p));
         };
         let key = self.key(placement);
@@ -491,6 +536,72 @@ impl<'a> PredictSession<'a> {
         Ok(out)
     }
 
+    /// Predicts every candidate placement class and returns what `read`
+    /// takes from each prediction, in input order, or the error of the
+    /// first candidate (in input order) that fails.
+    ///
+    /// Each candidate is keyed from its context walk
+    /// ([`CanonicalPlacement::for_each_ctx`]) with the bits its
+    /// instantiated placement keys to in [`Self::predict_with`], so the
+    /// two share entries; a candidate that does not fit the machine
+    /// fails before it is keyed. The hits are read in place, one lock per
+    /// shard, with `read` running under the lock. Then only the misses
+    /// are instantiated, predicted and stored, fanned across the
+    /// context's workers. Answers, and for a duplicate-free list whose
+    /// shards do not overflow the cache counts, equal the per-candidate
+    /// `predict_with` loop's. A repeat within one batch misses twice
+    /// where the loop hits its second time, and a shard that overflows
+    /// within a batch may evict other victims, because every hit is read
+    /// before any miss is stored.
+    pub fn predict_batch<R: Send>(
+        &self,
+        candidates: &[CanonicalPlacement],
+        read: impl Fn(&Prediction) -> R + Sync,
+    ) -> Result<Vec<R>, PandiaError> {
+        // Each candidate's answer once known, and the (index, key) of
+        // every candidate still waiting for one.
+        let mut answers: Vec<Option<Result<R, PandiaError>>> = Vec::with_capacity(candidates.len());
+        let mut pending = Vec::with_capacity(candidates.len());
+        for (i, candidate) in candidates.iter().enumerate() {
+            match self.walk_key(candidate) {
+                Ok(key) => {
+                    pending.push((i, key));
+                    answers.push(None);
+                }
+                Err(e) => answers.push(Some(Err(e.into()))),
+            }
+        }
+        if let Some(cache) = self.exec.cache() {
+            cache.read_batch(&pending, |i, stored| {
+                if let Some(p) = stored.first() {
+                    answers[i] = Some(Ok(read(p)));
+                }
+            });
+            pending.retain(|&(i, _)| answers[i].is_none());
+        }
+        // Thread count is the dominant cost driver of a prediction
+        // (entity count sizes every equilibrium solve), so it steers the
+        // chunk plan.
+        let fresh = self.exec.parallel_map_sized(
+            &pending,
+            |&(i, _)| candidates[i].total_threads() as f64,
+            |&(i, key)| {
+                let placement = candidates[i].instantiate(self.machine)?;
+                let prediction = predict(self.machine, self.workload, &placement, self.config)?;
+                let out = read(&prediction);
+                if let Some(cache) = self.exec.cache() {
+                    cache.store(key, [prediction]);
+                }
+                Ok(out)
+            },
+        );
+        for (&(i, _), answer) in pending.iter().zip(fresh) {
+            answers[i] = Some(answer);
+        }
+        debug_assert!(answers.iter().all(Option::is_some), "every candidate answered");
+        answers.into_iter().flatten().collect()
+    }
+
     /// The cache key of one placement: the session prefix extended with
     /// the placement's contexts.
     fn key(&self, placement: &Placement) -> u128 {
@@ -499,6 +610,14 @@ impl<'a> PredictSession<'a> {
             fp.write_usize(ctx.0);
         }
         fp.key()
+    }
+
+    /// The cache key of one placement class, from its context walk: the
+    /// bits [`Self::key`] gives its instantiated placement.
+    fn walk_key(&self, candidate: &CanonicalPlacement) -> Result<u128, TopologyError> {
+        let mut fp = self.prefix;
+        candidate.for_each_ctx(self.machine, |ctx| fp.write_usize(ctx.0))?;
+        Ok(fp.key())
     }
 }
 
@@ -698,6 +817,70 @@ mod tests {
                 assert_ne!(keys[i], keys[j], "inputs {i} and {j} collided");
             }
         }
+    }
+
+    #[test]
+    fn walked_keys_are_the_instantiated_keys() {
+        let exec = ExecContext::new(1);
+        let m = machine();
+        let w = WorkloadDescription::example();
+        let config = PredictorConfig::default();
+        let session = PredictSession::new(&exec, &m, &w, &config).unwrap();
+        let all = pandia_topology::PlacementEnumerator::new(&m.shape).all();
+        assert!(all.len() > 10);
+        for c in &all {
+            let instantiated = c.instantiate(&m).unwrap();
+            assert_eq!(session.walk_key(c).unwrap(), session.key(&instantiated), "{c}");
+        }
+    }
+
+    #[test]
+    fn batch_reads_hits_where_predict_with_stored_them() {
+        let exec = ExecContext::new(1);
+        let m = machine();
+        let w = WorkloadDescription::example();
+        let config = PredictorConfig::default();
+        let session = PredictSession::new(&exec, &m, &w, &config).unwrap();
+        let candidates: Vec<CanonicalPlacement> =
+            [vec![vec![1]], vec![vec![2, 1]], vec![vec![1], vec![1]], vec![vec![2, 2], vec![2]]]
+                .into_iter()
+                .map(CanonicalPlacement::new)
+                .collect();
+        let time = |p: &Prediction| p.predicted_time.to_bits();
+        let first = session.predict_with(&candidates[1].instantiate(&m).unwrap(), time).unwrap();
+        let cold = session.predict_batch(&candidates, time).unwrap();
+        assert_eq!(cold[1], first);
+        let stats = exec.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 4, 4));
+        assert_eq!(session.predict_batch(&candidates, time).unwrap(), cold);
+        let stats = exec.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (5, 4, 4));
+        let uncached = ExecContext::new(1).with_cache(false);
+        let plain = PredictSession::new(&uncached, &m, &w, &config).unwrap();
+        assert_eq!(plain.predict_batch(&candidates, time).unwrap(), cold);
+        assert_eq!(uncached.cache_stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn batch_answers_a_colliding_walk_with_its_error() {
+        // On two-slot cores `[[3]]` would walk to the contexts of
+        // `[[2, 1]]`, so it must fail before it is keyed, even with
+        // `[[2, 1]]` cached.
+        let exec = ExecContext::new(1);
+        let m = machine();
+        let w = WorkloadDescription::example();
+        let config = PredictorConfig::default();
+        let session = PredictSession::new(&exec, &m, &w, &config).unwrap();
+        let two_one = CanonicalPlacement::new(vec![vec![2, 1]]);
+        let three = CanonicalPlacement::new(vec![vec![3]]);
+        let time = |p: &Prediction| p.predicted_time;
+        session.predict_batch(std::slice::from_ref(&two_one), time).unwrap();
+        let expected = PandiaError::from(three.instantiate(&m).unwrap_err());
+        for batch in [[two_one.clone(), three.clone()], [three.clone(), two_one.clone()]] {
+            assert_eq!(session.predict_batch(&batch, time).unwrap_err(), expected);
+        }
+        let stats = exec.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }
 
     #[test]

@@ -3,18 +3,62 @@
 //! is [`IncrementalFleet`](crate::fleet::IncrementalFleet)'s co-schedule
 //! memo.
 //!
-//! Every entry carries a recency stamp from the memo's clock; stamps are
-//! unique, so "least recently used" names exactly one entry. A hit only
-//! rewrites its entry's stamp. The stamp-ordered `order` index is
-//! corrected lazily, at eviction: pop the oldest filing; if its entry was
-//! touched since it was filed, re-file it under its current stamp,
-//! otherwise evict it. An entry's filing is never newer than its stamp,
-//! so a filing that is still current is the smallest stamp in the memo —
-//! the same victim a full min-stamp scan picks. Each re-filing pays for
-//! one earlier touch, so eviction costs O(log n) amortised instead of a
-//! scan.
+//! Entries live in a hash map with a fixed hasher ([`MemoHasher`]), so a
+//! hit is one probe. Every entry carries a recency stamp from the memo's
+//! clock; stamps are unique, so "least recently used" names exactly one
+//! entry. A hit only rewrites its entry's stamp. The stamp-ordered
+//! `order` index is corrected lazily, at eviction: pop the oldest filing;
+//! if its entry was touched since it was filed, re-file it under its
+//! current stamp, otherwise evict it. An entry's filing is never newer
+//! than its stamp, so a filing that is still current is the smallest
+//! stamp in the memo — the same victim a full min-stamp scan picks. Each
+//! re-filing pays for one earlier touch, so eviction costs O(log n)
+//! amortised instead of a scan. Nothing walks the hash map in its own
+//! order: victims come from the stamp index and [`LruMemo::retain`] drops
+//! in key order.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// The memo's hasher: the same in every process and run, and one xor for
+/// a prediction fingerprint. A `u128` fingerprint is already uniform, so
+/// it passes through with its two words folded together; a pass-through
+/// of the low word alone would not do, because a cache shard's keys all
+/// share the low 3 bits that picked the shard, and the map takes its
+/// bucket from the low bits. Any other write (the fleet memo's
+/// `(machine, classes)` keys) is FNV-1a, byte by byte.
+#[derive(Debug)]
+struct MemoHasher(u64);
+
+impl MemoHasher {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+}
+
+impl Default for MemoHasher {
+    fn default() -> Self {
+        Self(Self::FNV_OFFSET)
+    }
+}
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::FNV_PRIME);
+        }
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.0 ^= (v as u64) ^ ((v >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FixedState = BuildHasherDefault<MemoHasher>;
 
 /// One memoized value and its recency bookkeeping.
 #[derive(Debug)]
@@ -29,14 +73,15 @@ struct Slot<V> {
 /// A map that evicts its least-recently-used entries down to a bound.
 ///
 /// The owner keeps the bound and passes it to [`LruMemo::evict_to`]
-/// after each insert. An empty memo is then a constant, which keeps
+/// after each insert. An empty memo allocates nothing, which keeps
 /// building the prediction cache's shard array cheap (every
 /// `ExecContext::new` builds one). Eviction only ever discards memoized
 /// work, so callers stay bit-identical at any bound; the victims depend
-/// only on the order of operations, never on key order or timing.
+/// only on the order of operations, never on key order, hash order or
+/// timing.
 #[derive(Debug)]
 pub(crate) struct LruMemo<K, V> {
-    entries: BTreeMap<K, Slot<V>>,
+    entries: HashMap<K, Slot<V>, FixedState>,
     /// Exactly one filing per entry, keyed by the entry's `filed` stamp.
     order: BTreeMap<u64, K>,
     clock: u64,
@@ -44,12 +89,12 @@ pub(crate) struct LruMemo<K, V> {
 
 impl<K, V> LruMemo<K, V> {
     /// An empty memo.
-    pub(crate) const fn new() -> Self {
-        Self { entries: BTreeMap::new(), order: BTreeMap::new(), clock: 0 }
+    pub(crate) fn new() -> Self {
+        Self { entries: HashMap::default(), order: BTreeMap::new(), clock: 0 }
     }
 }
 
-impl<K: Ord + Clone, V> LruMemo<K, V> {
+impl<K: Ord + Hash + Clone, V> LruMemo<K, V> {
     /// Entries currently stored.
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
@@ -101,17 +146,18 @@ impl<K: Ord + Clone, V> LruMemo<K, V> {
         evicted
     }
 
-    /// Drops every entry whose key fails `keep`. Not an eviction: the
-    /// caller is invalidating, not making room.
+    /// Drops every entry whose key fails `keep`, in ascending key order,
+    /// whatever the hash order. Not an eviction: the caller is
+    /// invalidating, not making room.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
-        let order = &mut self.order;
-        self.entries.retain(|key, slot| {
-            let kept = keep(key);
-            if !kept {
-                order.remove(&slot.filed);
+        // lint: sorted
+        let mut gone: Vec<K> = self.entries.keys().filter(|k| !keep(k)).cloned().collect();
+        gone.sort_unstable();
+        for key in gone {
+            if let Some(slot) = self.entries.remove(&key) {
+                self.order.remove(&slot.filed);
             }
-            kept
-        });
+        }
     }
 }
 
@@ -172,6 +218,34 @@ mod tests {
             }
             gone
         }
+    }
+
+    #[test]
+    fn one_shards_fingerprints_spread_across_buckets_and_tags() {
+        use crate::exec::Fingerprint;
+        use std::collections::BTreeSet;
+        use std::hash::BuildHasher;
+        // 4,096 fingerprints that all land in cache shard 0 (low 3 bits
+        // zero), hashed into 1,024 buckets: uniform hashes fill about
+        // 1,024 · (1 − e⁻⁴) ≈ 1,005 of them; the low word alone would fill
+        // at most 128. The map also tags each entry with the top 7 bits.
+        let keys: Vec<u128> = (0..usize::MAX)
+            .map(|i| {
+                let mut fp = Fingerprint::new();
+                fp.write_usize(i);
+                fp.key()
+            })
+            .filter(|key| key & 7 == 0)
+            .take(4096)
+            .collect();
+        let state = FixedState::default();
+        let hashes: Vec<u64> = keys.iter().map(|key| state.hash_one(key)).collect();
+        let buckets: BTreeSet<u64> = hashes.iter().map(|h| h & 1023).collect();
+        let tags: BTreeSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert!(buckets.len() > 960, "{} of 1024 buckets", buckets.len());
+        assert_eq!(tags.len(), 128, "top-7-bit tags");
+        let low_word: BTreeSet<u128> = keys.iter().map(|key| key & 1023).collect();
+        assert!(low_word.len() <= 128);
     }
 
     #[test]

@@ -82,9 +82,10 @@ fn best_index(scores: &[Score]) -> Option<usize> {
     (0..scores.len()).max_by(|&a, &b| scores[a].speedup.total_cmp(&scores[b].speedup))
 }
 
-/// Predicts every candidate, fanning the evaluations across the
-/// context's workers and memoizing through its cache, and reads each
-/// prediction's [`Score`] where it is stored.
+/// Predicts every candidate through one [`PredictSession::predict_batch`]:
+/// hits are read in place from the context's cache, misses are fanned
+/// across its workers, and each prediction's [`Score`] is read where it
+/// is.
 ///
 /// The scores are bit-identical regardless of the worker count: they
 /// keep the input order, and each prediction is a pure function of the
@@ -97,22 +98,11 @@ fn score_candidates(
     config: &PredictorConfig,
 ) -> Result<Vec<Score>, PandiaError> {
     let session = PredictSession::new(exec, machine, workload, config)?;
-    // Thread count is the dominant cost driver of a prediction (entity
-    // count sizes every equilibrium solve), so it steers the chunk plan.
-    exec.parallel_map_sized(
-        candidates,
-        |c| c.total_threads() as f64,
-        |c| {
-            let placement = c.instantiate(machine)?;
-            session.predict_with(&placement, |p| Score {
-                n_threads: p.n_threads,
-                speedup: p.speedup,
-                predicted_time: p.predicted_time,
-            })
-        },
-    )
-    .into_iter()
-    .collect()
+    session.predict_batch(candidates, |p| Score {
+        n_threads: p.n_threads,
+        speedup: p.speedup,
+        predicted_time: p.predicted_time,
+    })
 }
 
 /// Evaluates the predictor over a set of candidate placements.

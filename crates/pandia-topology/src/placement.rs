@@ -226,6 +226,23 @@ impl CanonicalPlacement {
     /// physical socket `k`, occupied cores map to the lowest-numbered cores,
     /// and thread ids are assigned socket-major, core-major, slot-minor.
     pub fn instantiate(&self, shape: &impl HasShape) -> Result<Placement, TopologyError> {
+        let mut ctxs = Vec::with_capacity(self.total_threads());
+        self.for_each_ctx(shape, |ctx| ctxs.push(ctx))?;
+        // The walk only visits in-range contexts, each once.
+        Ok(Placement { ctxs })
+    }
+
+    /// Visits, in thread order, the contexts [`Self::instantiate`] pins,
+    /// without building the placement. The placement is checked against
+    /// `shape` before anything is visited, so one that does not fit
+    /// returns `instantiate`'s error and visits nothing: unchecked, `[[3]]`
+    /// on a two-slot core would walk into the next core's slot and visit
+    /// the contexts of `[[2, 1]]`.
+    pub fn for_each_ctx(
+        &self,
+        shape: &impl HasShape,
+        mut visit: impl FnMut(CtxId),
+    ) -> Result<(), TopologyError> {
         let spec: MachineShape = shape.shape();
         if self.sockets.len() > spec.sockets {
             return Err(TopologyError::CanonicalMismatch {
@@ -236,8 +253,7 @@ impl CanonicalPlacement {
                 ),
             });
         }
-        let mut ctxs = Vec::with_capacity(self.total_threads());
-        for (s, occ) in self.sockets.iter().enumerate() {
+        for occ in &self.sockets {
             if occ.len() > spec.cores_per_socket {
                 return Err(TopologyError::CanonicalMismatch {
                     reason: format!(
@@ -247,7 +263,7 @@ impl CanonicalPlacement {
                     ),
                 });
             }
-            for (c, &n) in occ.iter().enumerate() {
+            for &n in occ {
                 if n as usize > spec.threads_per_core {
                     return Err(TopologyError::CanonicalMismatch {
                         reason: format!(
@@ -256,12 +272,19 @@ impl CanonicalPlacement {
                         ),
                     });
                 }
+            }
+        }
+        if self.total_threads() == 0 {
+            return Err(TopologyError::EmptyPlacement);
+        }
+        for (s, occ) in self.sockets.iter().enumerate() {
+            for (c, &n) in occ.iter().enumerate() {
                 for slot in 0..n as usize {
-                    ctxs.push(spec.ctx(SocketId(s), c, slot));
+                    visit(spec.ctx(SocketId(s), c, slot));
                 }
             }
         }
-        Placement::new(&spec, ctxs)
+        Ok(())
     }
 }
 
@@ -286,6 +309,7 @@ impl core::fmt::Display for CanonicalPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::PlacementEnumerator;
     use crate::spec::MachineSpec;
 
     fn spec() -> MachineSpec {
@@ -366,6 +390,98 @@ mod tests {
         assert!(too_deep.instantiate(&m).is_err());
         let too_many_sockets = CanonicalPlacement::new(vec![vec![1], vec![1], vec![1]]);
         assert!(too_many_sockets.instantiate(&m).is_err());
+    }
+
+    /// `instantiate` before it was rebuilt on the walk, kept as its
+    /// reference: check while pushing contexts, then validate them.
+    fn spec_instantiate(
+        c: &CanonicalPlacement,
+        shape: &impl HasShape,
+    ) -> Result<Placement, TopologyError> {
+        let spec: MachineShape = shape.shape();
+        if c.sockets.len() > spec.sockets {
+            return Err(TopologyError::CanonicalMismatch {
+                reason: format!(
+                    "placement uses {} sockets but machine has {}",
+                    c.sockets.len(),
+                    spec.sockets
+                ),
+            });
+        }
+        let mut ctxs = Vec::with_capacity(c.total_threads());
+        for (s, occ) in c.sockets.iter().enumerate() {
+            if occ.len() > spec.cores_per_socket {
+                return Err(TopologyError::CanonicalMismatch {
+                    reason: format!(
+                        "socket occupies {} cores but machine has {} per socket",
+                        occ.len(),
+                        spec.cores_per_socket
+                    ),
+                });
+            }
+            for (core, &n) in occ.iter().enumerate() {
+                if n as usize > spec.threads_per_core {
+                    return Err(TopologyError::CanonicalMismatch {
+                        reason: format!(
+                            "core hosts {n} threads but machine supports {} per core",
+                            spec.threads_per_core
+                        ),
+                    });
+                }
+                for slot in 0..n as usize {
+                    ctxs.push(spec.ctx(SocketId(s), core, slot));
+                }
+            }
+        }
+        Placement::new(&spec, ctxs)
+    }
+
+    fn walked(c: &CanonicalPlacement, shape: &impl HasShape) -> Result<Vec<CtxId>, TopologyError> {
+        let mut ctxs = Vec::new();
+        c.for_each_ctx(shape, |ctx| ctxs.push(ctx)).map(|()| ctxs)
+    }
+
+    #[test]
+    fn the_walk_visits_the_instantiated_contexts() {
+        let x2_4 = MachineSpec::x2_4();
+        let sets = [
+            (MachineSpec::x3_2(), PlacementEnumerator::new(&MachineSpec::x3_2()).all()),
+            (MachineSpec::x5_2(), PlacementEnumerator::new(&MachineSpec::x5_2()).all()),
+            (x2_4.clone(), PlacementEnumerator::new(&x2_4).sampled(&x2_4, 3)),
+        ];
+        for (machine, placements) in &sets {
+            assert!(!placements.is_empty());
+            for c in placements {
+                let expected = spec_instantiate(c, machine).unwrap();
+                assert_eq!(walked(c, machine).unwrap(), expected.contexts(), "{c}");
+                assert_eq!(c.instantiate(machine).unwrap(), expected, "{c}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_rejects_what_instantiate_rejects_and_visits_nothing() {
+        let m = spec();
+        let bad = [
+            CanonicalPlacement::new(vec![vec![1], vec![1], vec![1]]),
+            CanonicalPlacement::new(vec![vec![1; 9]]),
+            CanonicalPlacement::new(vec![vec![3]]),
+            // Fits on socket 0, then a core too deep on socket 1.
+            CanonicalPlacement { sockets: vec![vec![2, 2], vec![3, 1]] },
+            CanonicalPlacement::new(vec![]),
+            CanonicalPlacement { sockets: vec![vec![0, 0]] },
+        ];
+        for c in &bad {
+            let expected = spec_instantiate(c, &m).unwrap_err();
+            assert_eq!(c.instantiate(&m).unwrap_err(), expected, "{c:?}");
+            let mut visited = 0;
+            assert_eq!(c.for_each_ctx(&m, |_| visited += 1).unwrap_err(), expected, "{c:?}");
+            assert_eq!(visited, 0, "{c:?}");
+        }
+        // Unchecked, `[[3]]` would walk to the contexts of `[[2, 1]]`.
+        let two_one = CanonicalPlacement::new(vec![vec![2, 1]]);
+        assert_eq!(walked(&two_one, &m).unwrap(), [CtxId(0), CtxId(1), CtxId(2)]);
+        assert!(walked(&CanonicalPlacement::new(vec![vec![3]]), &m).is_err());
     }
 
     #[test]

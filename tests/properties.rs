@@ -373,6 +373,69 @@ fn recommendation_is_identical_across_jobs_and_cache() {
     assert!(saving_ties > 0, "no equal minima among the resource-saving sizes");
 }
 
+/// `PredictSession::predict_batch` against the per-candidate
+/// `predict_with` loop the placement search ran before it: on
+/// duplicate-free candidate lists the batch returns the loop's bits and
+/// leaves equal cache counts (hits, misses, entries, evictions), cold,
+/// warm and with the cache off, at one worker and at four.
+///
+/// Beyond that only counts can differ, never a value, because the cache
+/// only short-circuits identical inputs. The batch reads every hit before
+/// it stores any miss, so a candidate repeated within one list misses
+/// twice where the loop hits its second time, and a shard that overflows
+/// within one call may evict other victims (and so split later lookups
+/// into hits and misses differently), as overflow counts already do
+/// between shard layouts.
+#[test]
+fn batch_prediction_matches_the_per_candidate_loop() {
+    let ctx = MachineContext::x3_2().unwrap();
+    let config = PredictorConfig::default();
+    let enumerator = ctx.enumerator();
+    let lists = [("sampled(4)", enumerator.sampled(&ctx.spec, 4)), ("all()", enumerator.all())];
+    let mut rng = Rng::new(9100);
+    let workloads: Vec<WorkloadDescription> =
+        (0..2).map(|_| random_description(&mut rng, &ctx.description)).collect();
+    // `{:?}` prints every f64 round-trip exactly, so equal text is equal bits.
+    let bits = |p: &Prediction| format!("{p:?}");
+    for (name, candidates) in &lists {
+        let mut distinct = candidates.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), candidates.len(), "{name} repeats a candidate");
+        for (w, wd) in workloads.iter().enumerate() {
+            for jobs in [1, 4] {
+                for cached in [true, false] {
+                    let looped_exec = ExecContext::new(jobs).with_cache(cached);
+                    let batch_exec = ExecContext::new(jobs).with_cache(cached);
+                    let looped_session =
+                        PredictSession::new(&looped_exec, &ctx.description, wd, &config).unwrap();
+                    let batch_session =
+                        PredictSession::new(&batch_exec, &ctx.description, wd, &config).unwrap();
+                    for pass in ["cold", "warm"] {
+                        let looped: Vec<String> = looped_exec
+                            .parallel_map_sized(
+                                candidates,
+                                |c| c.total_threads() as f64,
+                                |c| {
+                                    let placement = c.instantiate(&ctx.description)?;
+                                    looped_session.predict_with(&placement, bits)
+                                },
+                            )
+                            .into_iter()
+                            .collect::<Result<_, PandiaError>>()
+                            .unwrap();
+                        let batched = batch_session.predict_batch(candidates, bits).unwrap();
+                        let case =
+                            format!("{name}, workload {w}, jobs={jobs}, cache {cached}, {pass}");
+                        assert!(batched == looped, "{case}: answers differ");
+                        assert_eq!(batch_exec.cache_stats(), looped_exec.cache_stats(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn scaling_profile_and_plan_are_identical_across_jobs() {
     let mut ctx = MachineContext::x3_2().unwrap();
