@@ -191,32 +191,35 @@ pub fn predict_jobs(
     }
     let table = machine.resource_table();
 
-    // Flatten all jobs' threads. Thread `t`'s route is
+    // Flatten all jobs' threads, job-major. Thread `t`'s route is
     // `routes[route_start[t]..route_start[t + 1]]`: at most five core and
     // L3 entries, a DRAM channel per memory node and a link per remote
     // one. Sized up front: grown by reallocation, the flat buffer made
     // small joint predictions up to 20% slower once the heap had aged.
+    // `tenants` holds one slot per context, `tpc` per core: the jobs of
+    // a core's threads in thread order, and so ascending, then `FREE`.
+    let tpc = shape.threads_per_core;
     let mut job_ctx: Vec<JobCtx> = Vec::with_capacity(jobs.len());
     let mut routes: Vec<(ResourceId, f64)> = Vec::with_capacity(threads * (4 + 2 * shape.sockets));
     let mut route_start = Vec::with_capacity(threads + 1);
     route_start.push(0);
-    let mut sockets: Vec<usize> = Vec::with_capacity(threads);
-    let mut cores: Vec<usize> = Vec::with_capacity(threads);
     let mut used_ctx = vec![false; contexts];
-    let mut per_core = vec![0usize; shape.total_cores()];
-    for (workload, placement) in jobs {
-        let start = sockets.len();
+    let mut tenants = vec![FREE; contexts];
+    for (j, (workload, placement)) in jobs.iter().enumerate() {
+        let start = route_start.len() - 1;
         for &ctx in placement.contexts() {
             if used_ctx[ctx.0] {
                 return mismatch(format!("co-scheduled placements overlap at context {}", ctx.0));
             }
             used_ctx[ctx.0] = true;
             let core = shape.core_of_ctx(ctx).0;
-            per_core[core] += 1;
-            cores.push(core);
+            // Each of the core's `tpc` contexts hosts one thread at most,
+            // so a slot is free.
+            if let Some(slot) = tenants[core * tpc..][..tpc].iter_mut().find(|s| **s == FREE) {
+                *slot = j;
+            }
             workload.demand.route(&shape, &table, ctx, &mut routes);
             route_start.push(routes.len());
-            sockets.push(shape.socket_of_ctx(ctx).0);
         }
         let n = placement.n_threads();
         let amdahl = amdahl_speedup(workload.parallel_fraction, n);
@@ -227,119 +230,136 @@ pub fn predict_jobs(
             amdahl,
             f_initial: amdahl / n as f64,
             threads: start..start + n,
+            classes: 0..0,
         });
     }
-    let total = sockets.len();
     let route = |t: usize| &routes[route_start[t]..route_start[t + 1]];
-    let shares_core: Vec<bool> = cores.iter().map(|&c| per_core[c] >= 2).collect();
+    let shares_core = |on_core: &[usize]| on_core.get(1).is_some_and(|&j| j != FREE);
 
     // Effective capacities: the measured SMT co-schedule factor shrinks the
     // issue capacity of cores hosting two or more threads (§3.2) — from
     // any job.
     let mut caps: Vec<f64> = table.resources().iter().map(|r| r.capacity).collect();
-    for (c, &occ) in per_core.iter().enumerate() {
-        if occ >= 2 {
+    for (c, on_core) in tenants.chunks_exact(tpc).enumerate() {
+        if shares_core(on_core) {
             let id = table.core_issue(pandia_topology::CoreId(c));
             caps[id.0] *= machine.smt_coschedule_factor;
         }
     }
 
-    let mut f: Vec<f64> =
-        job_ctx.iter().flat_map(|j| j.threads.clone().map(move |_| j.f_initial)).collect();
-    let mut f_at_start = vec![0.0_f64; total];
-    let mut next_f = vec![0.0_f64; total];
-    let mut s_res = vec![1.0_f64; total];
-    let mut s = vec![1.0_f64; total];
-    let mut comm = vec![0.0_f64; total];
-    let mut lb = vec![0.0_f64; total];
-    let mut bottleneck: Vec<Option<ResourceKind>> = vec![None; total];
+    // One state per thread class (`Class`). A job's classes are
+    // contiguous, and `class_of[t]` is thread `t`'s.
+    let mut classes: Vec<Class> = Vec::with_capacity(threads);
+    let mut class_of: Vec<usize> = Vec::with_capacity(threads);
+    for (job, (_, placement)) in job_ctx.iter_mut().zip(jobs) {
+        let first = classes.len();
+        for (t, &ctx) in job.threads.clone().zip(placement.contexts()) {
+            let core = shape.core_of_ctx(ctx).0;
+            let socket = shape.socket_of_ctx(ctx).0;
+            let on_core = &tenants[core * tpc..][..tpc];
+            let same = |k: &Class| k.socket == socket && tenants[k.core * tpc..][..tpc] == *on_core;
+            let c = match classes[first..].iter().position(same) {
+                Some(i) => first + i,
+                None => {
+                    classes.push(Class {
+                        first: t,
+                        core,
+                        socket,
+                        shares_core: shares_core(on_core),
+                        f: job.f_initial,
+                        s_res: 1.0,
+                        s: 1.0,
+                        comm: 0.0,
+                        lb: 0.0,
+                        term: 0.0,
+                        worst: None,
+                    });
+                    classes.len() - 1
+                }
+            };
+            class_of.push(c);
+        }
+        job.classes = first..classes.len();
+    }
+
     let mut loads = vec![0.0_f64; table.len()];
-    let mut terms = Vec::new();
     let mut penalty = vec![None; shape.sockets];
     let mut s_cap = f64::INFINITY;
     let mut iterations = 0;
 
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
-        f_at_start.copy_from_slice(&f);
 
-        // Stage 1: resource contention (§5.1) over the *combined* loads.
+        // Stage 1: resource contention (§5.1) over the *combined* loads,
+        // which every thread adds to, in thread order.
         loads.fill(0.0);
-        for (t, &ft) in f.iter().enumerate() {
+        for (t, &c) in class_of.iter().enumerate() {
+            let f = classes[c].f;
             for &(r, d) in route(t) {
-                loads[r.0] += d * ft;
+                loads[r.0] += d * f;
             }
         }
         for job in &job_ctx {
-            for t in job.threads.clone() {
+            for class in &mut classes[job.classes.clone()] {
+                // A route lists only positive demands.
                 let mut worst = 1.0_f64;
-                let mut worst_res = None;
-                for &(r, d) in route(t) {
-                    if d <= 0.0 {
-                        continue;
-                    }
+                class.worst = None;
+                for (at, &(r, _)) in route(class.first).iter().enumerate() {
                     let over = loads[r.0] / caps[r.0];
                     if over > worst {
                         worst = over;
-                        worst_res = Some(table.get(r).kind);
+                        class.worst = Some(at);
                     }
                 }
                 let mut sr = worst;
-                if shares_core[t] {
-                    sr *= 1.0 + job.b * f[t];
+                if class.shares_core {
+                    sr *= 1.0 + job.b * class.f;
                 }
-                s_res[t] = sr.clamp(1.0, s_cap);
-                s[t] = s_res[t];
-                bottleneck[t] = worst_res;
-                f[t] = job.f_initial / s[t];
+                class.s_res = sr.clamp(1.0, s_cap);
+                class.s = class.s_res;
             }
         }
 
         // Stage 2: inter-socket communication (§5.2), within each job. A
-        // job without the stage adds 0.0, which leaves `s` and `f` as
-        // stage 1 set them.
+        // job without the stage adds 0.0, which leaves `s` as stage 1 set
+        // it.
         for job in &job_ctx {
-            communication(job, &sockets, &s, &f, &mut terms, &mut penalty, &mut comm);
-            for t in job.threads.clone() {
-                s[t] = (s[t] + comm[t]).clamp(1.0, s_cap);
-                f[t] = job.f_initial / s[t];
+            communication(job, &class_of, &mut classes, &mut penalty);
+            for class in &mut classes[job.classes.clone()] {
+                class.s = (class.s + class.comm).clamp(1.0, s_cap);
             }
         }
 
         // Stage 3: load-balance penalty (§5.3), within each job.
         for job in &job_ctx {
-            let range = job.threads.clone();
-            let s_max = range.clone().map(|t| s[t]).fold(1.0_f64, f64::max);
-            for t in range {
-                let dragged = job.l * s[t] + (1.0 - job.l) * s_max;
-                lb[t] = dragged - s[t];
-                s[t] = dragged.clamp(1.0, s_cap);
-                f[t] = job.f_initial / s[t];
+            let own = &mut classes[job.classes.clone()];
+            let s_max = own.iter().map(|c| c.s).fold(1.0_f64, f64::max);
+            for class in own {
+                let dragged = job.l * class.s + (1.0 - job.l) * s_max;
+                class.lb = dragged - class.s;
+                class.s = dragged.clamp(1.0, s_cap);
             }
         }
 
         // Bound subsequent iterations by the first iteration's worst
         // slowdown (§5.4).
         if iter == 0 {
-            s_cap = s.iter().cloned().fold(1.0_f64, f64::max);
+            s_cap = classes.iter().map(|c| c.s).fold(1.0_f64, f64::max);
         }
 
         // Feedback into the next iteration (§5.4).
         let dampen = iter + 1 >= config.dampen_after;
+        let mut delta = 0.0_f64;
         for job in &job_ctx {
-            for t in job.threads.clone() {
-                next_f[t] = job.f_initial * (s_res[t] / s[t]);
+            for class in &mut classes[job.classes.clone()] {
+                let mut next = job.f_initial * (class.s_res / class.s);
                 if dampen {
-                    next_f[t] = 0.5 * (next_f[t] + f_at_start[t]);
+                    next = 0.5 * (next + class.f);
                 }
+                delta = delta.max((next - class.f).abs());
+                class.f = next;
             }
         }
-        let delta = next_f
-            .iter()
-            .zip(&f_at_start)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0_f64, f64::max);
-        std::mem::swap(&mut f, &mut next_f);
         if delta < config.tolerance {
             break;
         }
@@ -347,18 +367,25 @@ pub fn predict_jobs(
 
     let mut results = Vec::with_capacity(jobs.len());
     for (job, (workload, placement)) in job_ctx.iter().zip(jobs) {
-        let range = job.threads.clone();
-        let n = range.len();
-        let harmonic: f64 = range.clone().map(|t| 1.0 / s[t]).sum::<f64>() / n as f64;
+        let members = &class_of[job.threads.clone()];
+        let harmonic: f64 =
+            members.iter().map(|&c| 1.0 / classes[c].s).sum::<f64>() / members.len() as f64;
         let speedup = job.amdahl * harmonic;
-        let threads = range
-            .map(|t| ThreadPrediction {
-                resource_slowdown: s_res[t],
-                communication_penalty: comm[t],
-                load_balance_penalty: lb[t],
-                slowdown: s[t],
-                utilization: job.f_initial / s[t],
-                bottleneck: bottleneck[t],
+        let threads = job
+            .threads
+            .clone()
+            .zip(members)
+            .map(|(t, &c)| {
+                let class = &classes[c];
+                ThreadPrediction {
+                    resource_slowdown: class.s_res,
+                    communication_penalty: class.comm,
+                    load_balance_penalty: class.lb,
+                    slowdown: class.s,
+                    utilization: job.f_initial / class.s,
+                    // The thread's own resource at its class's position.
+                    bottleneck: class.worst.map(|at| table.get(route(t)[at].0).kind),
+                }
             })
             .collect();
         results.push(Prediction {
@@ -374,8 +401,12 @@ pub fn predict_jobs(
     Ok(results)
 }
 
-/// One job of a [`predict_jobs`] call: its model parameters and its
-/// threads' range in the flattened per-thread arrays.
+/// A free slot of `predict_jobs`'s per-core tenant lists.
+const FREE: usize = usize::MAX;
+
+/// One job of a [`predict_jobs`] call: its model parameters, its
+/// threads' range in the flattened per-thread arrays and its classes'
+/// range in the class table.
 struct JobCtx {
     l: f64,
     b: f64,
@@ -383,58 +414,86 @@ struct JobCtx {
     amdahl: f64,
     f_initial: f64,
     threads: std::ops::Range<usize>,
+    classes: std::ops::Range<usize>,
 }
 
-/// Stage 2 (§5.2) for one job: writes the communication penalty of
-/// each of its threads to `comm`, from the threads' `sockets`, their
-/// slowdowns `s` after stage 1 and their utilizations `f` (all indexed
-/// like `job.threads`).
+/// One thread class of a [`predict_jobs`] call and the §5 state its
+/// members share: the threads of one job on one socket whose cores host
+/// the same multiset of jobs.
+///
+/// Members share every input of every stage. Their routes differ only
+/// in core ids, and a core's load is the sum of its tenants' terms in
+/// thread order, which is job-major, so equal tenant lists give equal
+/// sums; every core has the same capacities. The key compares the lists
+/// themselves, so no two threads share a class unless their states are
+/// equal to the bit.
+struct Class {
+    /// The first member, whose route stands for every member's.
+    first: usize,
+    /// The first member's core, whose tenant list is the class's key.
+    core: usize,
+    socket: usize,
+    /// Whether the members' cores host two threads or more.
+    shares_core: bool,
+    /// The utilization the iteration started from.
+    f: f64,
+    /// The fields of the same names of `ThreadPrediction`.
+    s_res: f64,
+    s: f64,
+    comm: f64,
+    lb: f64,
+    /// Stage 2's work term of each member: `1/s`, then `w/W·os`.
+    term: f64,
+    /// The route position of the most oversubscribed resource, if any.
+    worst: Option<usize>,
+}
+
+/// Stage 2 (§5.2) for one job: sets the communication penalty of each
+/// of its classes from their slowdowns after stage 1.
 ///
 /// A thread on socket `S` sums one term per peer on another socket, in
-/// ascending peer order, and that sum is the same for every thread on
-/// `S`: it is computed once per occupied socket and kept in `penalty`
-/// (one slot per socket of the machine). The additions stay one per
-/// peer, as in the per-thread sum (`tests::communication_spec`), so the
-/// result is the same to the bit; `k·os`, or the job total less the own
-/// socket's share, would round differently. `terms` is scratch for the
-/// per-peer independent terms.
+/// thread order, and that sum is the same for every thread on `S`: it is
+/// computed once per occupied socket and kept in `penalty` (one slot per
+/// socket of the machine). A peer's term `w_j/W·os` is its class's. The
+/// total work `W` and the peer sums stay one addition per thread, in
+/// thread order, as in the per-thread sum (`tests::communication_spec`),
+/// so the result is the same to the bit; `k·os`, or the job total less
+/// the own socket's share, would round differently.
 fn communication(
     job: &JobCtx,
-    sockets: &[usize],
-    s: &[f64],
-    f: &[f64],
-    terms: &mut Vec<f64>,
+    class_of: &[usize],
+    classes: &mut [Class],
     penalty: &mut [Option<f64>],
-    comm: &mut [f64],
 ) {
-    let r = job.threads.clone();
-    let (sockets, s, f, comm) = (&sockets[r.clone()], &s[r.clone()], &f[r.clone()], &mut comm[r]);
-    let n = s.len();
+    let members = &class_of[job.threads.clone()];
+    let n = members.len();
     if job.os <= 0.0 || n <= 1 {
-        comm.fill(0.0);
+        classes[job.classes.clone()].iter_mut().for_each(|c| c.comm = 0.0);
         return;
     }
-    terms.clear();
-    terms.extend(s.iter().map(|s_j| 1.0 / s_j));
-    let total_work: f64 = terms.iter().sum();
-    for w in terms.iter_mut() {
-        *w = *w / total_work * job.os;
-    }
+    classes[job.classes.clone()].iter_mut().for_each(|c| c.term = 1.0 / c.s);
+    let total_work: f64 = members.iter().map(|&c| classes[c].term).sum();
+    classes[job.classes.clone()].iter_mut().for_each(|c| c.term = c.term / total_work * job.os);
     penalty.fill(None);
-    for (t, &own) in sockets.iter().enumerate() {
-        let p = *penalty[own].get_or_insert_with(|| {
-            let mut lockstep = 0.0;
-            let mut independent = 0.0;
-            for (&socket, &term) in sockets.iter().zip(terms.iter()) {
-                if socket != own {
-                    lockstep += job.os;
-                    independent += term;
+    for c in job.classes.clone() {
+        let own = classes[c].socket;
+        let p = match penalty[own] {
+            Some(p) => p,
+            None => {
+                let mut lockstep = 0.0;
+                let mut independent = 0.0;
+                for peer in members.iter().map(|&peer| &classes[peer]) {
+                    if peer.socket != own {
+                        lockstep += job.os;
+                        independent += peer.term;
+                    }
                 }
+                independent *= n as f64;
+                *penalty[own].insert(job.l * independent + (1.0 - job.l) * lockstep)
             }
-            independent *= n as f64;
-            job.l * independent + (1.0 - job.l) * lockstep
-        });
-        comm[t] = p * f[t];
+        };
+        // `f_initial / s` is the utilization stage 1 left.
+        classes[c].comm = p * (job.f_initial / classes[c].s);
     }
 }
 
@@ -798,16 +857,130 @@ mod tests {
             .collect()
     }
 
+    /// §5 per thread, as Figure 8 draws it: the spec that `predict_jobs`
+    /// keeps one state per thread class of. It trusts its inputs.
+    fn predict_jobs_spec(
+        m: &MachineDescription,
+        jobs: &[(&WorkloadDescription, &Placement)],
+        config: &PredictorConfig,
+    ) -> Vec<Prediction> {
+        let (shape, table) = (m.shape(), m.resource_table());
+        // Per thread, job-major: its job, socket, core and route.
+        let (mut ctx, mut threads) = (Vec::new(), Vec::new());
+        for (w, p) in jobs {
+            let n = p.n_threads();
+            let amdahl = amdahl_speedup(w.parallel_fraction, n);
+            let start = threads.len();
+            for &c in p.contexts() {
+                let mut route = Vec::new();
+                w.demand.route(&shape, &table, c, &mut route);
+                threads.push((ctx.len(), shape.socket_of_ctx(c).0, shape.core_of_ctx(c), route));
+            }
+            let (l, b, os) = (w.load_balance, w.burstiness, w.inter_socket_overhead);
+            let f_initial = amdahl / n as f64;
+            ctx.push(JobCtx { l, b, os, amdahl, f_initial, threads: start..start + n, classes: 0..0 });
+        }
+        let n = threads.len();
+        let job = |t: usize| &ctx[threads[t].0];
+        let shares_core = |t: usize| threads.iter().filter(|u| u.2 == threads[t].2).count() >= 2;
+        let mut caps: Vec<f64> = table.resources().iter().map(|r| r.capacity).collect();
+        for c in 0..shape.total_cores() {
+            if threads.iter().filter(|u| u.2.0 == c).count() >= 2 {
+                caps[table.core_issue(pandia_topology::CoreId(c)).0] *= m.smt_coschedule_factor;
+            }
+        }
+        let mut f: Vec<f64> = (0..n).map(|t| job(t).f_initial).collect();
+        let (mut s_res, mut s, mut comm, mut lb) = (vec![1.0; n], vec![1.0; n], vec![0.0; n], vec![0.0; n]);
+        let (mut bottleneck, mut loads) = (vec![None; n], vec![0.0; table.len()]);
+        let (mut s_cap, mut iterations) = (f64::INFINITY, 0);
+        for iter in 0..config.max_iterations {
+            iterations = iter + 1;
+            let f_start = f.clone();
+            loads.fill(0.0);
+            for (t, thread) in threads.iter().enumerate() {
+                for &(r, d) in &thread.3 {
+                    loads[r.0] += d * f[t];
+                }
+            }
+            for (t, thread) in threads.iter().enumerate() {
+                let (mut worst, mut sr) = (None, 1.0_f64);
+                for &(r, _) in &thread.3 {
+                    if loads[r.0] / caps[r.0] > sr {
+                        (worst, sr) = (Some(table.get(r).kind), loads[r.0] / caps[r.0]);
+                    }
+                }
+                if shares_core(t) {
+                    sr *= 1.0 + job(t).b * f[t];
+                }
+                s_res[t] = sr.clamp(1.0, s_cap);
+                s[t] = s_res[t];
+                bottleneck[t] = worst;
+                f[t] = job(t).f_initial / s[t];
+            }
+            for j in &ctx {
+                let r = j.threads.clone();
+                let sockets: Vec<usize> = r.clone().map(|t| threads[t].1).collect();
+                for (t, c) in r.clone().zip(communication_spec(j, &sockets, &s[r.clone()], &f[r])) {
+                    comm[t] = c;
+                    s[t] = (s[t] + c).clamp(1.0, s_cap);
+                }
+            }
+            for j in &ctx {
+                let s_max = j.threads.clone().map(|t| s[t]).fold(1.0_f64, f64::max);
+                for t in j.threads.clone() {
+                    let dragged = j.l * s[t] + (1.0 - j.l) * s_max;
+                    lb[t] = dragged - s[t];
+                    s[t] = dragged.clamp(1.0, s_cap);
+                }
+            }
+            if iter == 0 {
+                s_cap = s.iter().copied().fold(1.0_f64, f64::max);
+            }
+            let mut delta = 0.0_f64;
+            for t in 0..n {
+                f[t] = job(t).f_initial * (s_res[t] / s[t]);
+                if iter + 1 >= config.dampen_after {
+                    f[t] = 0.5 * (f[t] + f_start[t]);
+                }
+                delta = delta.max((f[t] - f_start[t]).abs());
+            }
+            if delta < config.tolerance {
+                break;
+            }
+        }
+        let per_job = ctx.iter().zip(jobs).map(|(j, (w, _))| {
+            let r = j.threads.clone();
+            let speedup = j.amdahl * (r.clone().map(|t| 1.0 / s[t]).sum::<f64>() / r.len() as f64);
+            let thread = |t: usize| ThreadPrediction {
+                resource_slowdown: s_res[t],
+                communication_penalty: comm[t],
+                load_balance_penalty: lb[t],
+                slowdown: s[t],
+                utilization: j.f_initial / s[t],
+                bottleneck: bottleneck[t],
+            };
+            Prediction {
+                n_threads: r.len(),
+                amdahl_speedup: j.amdahl,
+                speedup,
+                predicted_time: w.t1 / speedup,
+                threads: r.map(thread).collect(),
+                resource_loads: loads.clone(),
+                iterations,
+            }
+        });
+        per_job.collect()
+    }
+
     #[test]
     fn communication_matches_the_per_thread_spec_bit_for_bit() {
         let mut rng = 0xc0_ffee_u64;
-        let mut confined = 0;
+        let (mut confined, mut shared) = (0, 0);
         for sockets_n in [1, 2, 4, 9] {
             let mut penalty = vec![None; sockets_n];
-            let mut terms = Vec::new();
             for case in 0..200 {
                 // 1-3 jobs, 80 threads at most, laid out one after another
-                // in the flat arrays and sharing the scratch buffers.
+                // in the flat arrays and sharing the scratch buffer.
                 let (mut jobs, mut sockets, mut one_socket) = (Vec::new(), Vec::new(), Vec::new());
                 for _ in 0..1 + case % 3 {
                     let n = 1 + (splitmix64(&mut rng) % (80 / (1 + case % 3)) as u64) as usize;
@@ -833,32 +1006,66 @@ mod tests {
                         amdahl: 1.0,
                         f_initial: 1.0,
                         threads: start..start + n,
+                        classes: 0..0,
                     });
                 }
-                let s: Vec<f64> = sockets.iter().map(|_| draw(&mut rng, 1.0, 5.0)).collect();
-                let f: Vec<f64> = sockets.iter().map(|_| draw(&mut rng, 0.01, 1.0)).collect();
-                let mut comm = vec![f64::NAN; sockets.len()];
+                // Each thread joins one of two classes per (job, socket),
+                // which carry the slowdown stage 1 left.
+                let (mut classes, mut class_of) = (Vec::<Class>::new(), Vec::new());
+                for job in &mut jobs {
+                    job.f_initial = draw(&mut rng, 0.01, 1.0);
+                    let first = classes.len();
+                    for t in job.threads.clone() {
+                        let core = (splitmix64(&mut rng) % 2) as usize;
+                        let same = |k: &Class| (k.socket, k.core) == (sockets[t], core);
+                        class_of.push(match classes[first..].iter().position(same) {
+                            Some(i) => first + i,
+                            None => {
+                                let s = draw(&mut rng, 1.0, 5.0);
+                                classes.push(Class {
+                                    first: t,
+                                    core,
+                                    socket: sockets[t],
+                                    shares_core: false,
+                                    f: f64::NAN,
+                                    s_res: s,
+                                    s,
+                                    comm: f64::NAN,
+                                    lb: f64::NAN,
+                                    term: f64::NAN,
+                                    worst: None,
+                                });
+                                classes.len() - 1
+                            }
+                        });
+                    }
+                    job.classes = first..classes.len();
+                    shared += job.threads.len() - job.classes.len();
+                }
+                let s: Vec<f64> = class_of.iter().map(|&c| classes[c].s).collect();
                 for (job, &confine) in jobs.iter().zip(&one_socket) {
-                    communication(job, &sockets, &s, &f, &mut terms, &mut penalty, &mut comm);
+                    communication(job, &class_of, &mut classes, &mut penalty);
                     let r = job.threads.clone();
-                    let spec =
-                        communication_spec(job, &sockets[r.clone()], &s[r.clone()], &f[r.clone()]);
+                    let f: Vec<f64> = s[r.clone()].iter().map(|s| job.f_initial / s).collect();
+                    let spec = communication_spec(job, &sockets[r.clone()], &s[r.clone()], &f);
                     for (t, want) in r.clone().zip(spec) {
+                        let got = classes[class_of[t]].comm;
                         assert_eq!(
-                            comm[t].to_bits(),
+                            got.to_bits(),
                             want.to_bits(),
-                            "thread {t} of {r:?} on {sockets_n} sockets: {} vs spec {want}",
-                            comm[t]
+                            "thread {t} of {r:?} on {sockets_n} sockets: {got} vs spec {want}"
                         );
                     }
                     if confine {
                         confined += 1;
-                        assert!(comm[r].iter().all(|c| c.to_bits() == 0.0_f64.to_bits()));
+                        let zero = 0.0_f64.to_bits();
+                        assert!(classes[job.classes.clone()].iter().all(|c| c.comm.to_bits() == zero));
                     }
                 }
             }
         }
         assert!(confined > 100, "{confined} jobs confined to one socket");
+        assert!(shared > 10_000, "{shared} threads share a class with an earlier one");
     }
 
     #[test]
@@ -887,26 +1094,29 @@ mod tests {
         splitmix64(&mut state)
     }
 
-    fn fold_prediction(mut h: u64, p: &Prediction) -> u64 {
-        for x in [p.speedup, p.predicted_time, p.amdahl_speedup] {
-            h = fold(h, x.to_bits());
-        }
-        h = fold(h, p.iterations as u64);
-        h = fold(h, p.n_threads as u64);
+    /// Every output word of a prediction, each float as its bits.
+    fn words(p: &Prediction) -> Vec<u64> {
+        let mut w = vec![p.speedup.to_bits(), p.predicted_time.to_bits(), p.amdahl_speedup.to_bits()];
+        w.extend([p.iterations as u64, p.n_threads as u64]);
         for t in &p.threads {
-            for x in [
+            let floats = [
                 t.resource_slowdown,
                 t.communication_penalty,
                 t.load_balance_penalty,
                 t.slowdown,
                 t.utilization,
-            ] {
-                h = fold(h, x.to_bits());
-            }
+            ];
+            w.extend(floats.map(f64::to_bits));
             let label = t.bottleneck.map(|k| k.label()).unwrap_or_default();
-            h = label.bytes().fold(fold(h, label.len() as u64), |h, b| fold(h, u64::from(b)));
+            w.push(label.len() as u64);
+            w.extend(label.bytes().map(u64::from));
         }
-        p.resource_loads.iter().fold(h, |h, x| fold(h, x.to_bits()))
+        w.extend(p.resource_loads.iter().map(|x| x.to_bits()));
+        w
+    }
+
+    fn fold_prediction(h: u64, p: &Prediction) -> u64 {
+        words(p).into_iter().fold(h, fold)
     }
 
     #[test]
@@ -946,6 +1156,133 @@ mod tests {
         }
         assert_eq!(predictions, 421);
         assert_eq!(digest, 0xb0fe_a791_a8be_4412, "digest {digest:#018x}");
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "about 1 s optimised; CI runs it under --release")]
+    fn x5_2_fig10_predictions_fold_to_the_recorded_digest() {
+        // The advisor's own inputs: the simulator's x5-2 description, the
+        // paper suite's profiles and every paper-density placement, as
+        // `fig10_curves` and the `advise-x5-2` benchmark predict them.
+        let spec = pandia_topology::MachineSpec::x5_2();
+        let mut sim = pandia_sim::SimMachine::new(spec.clone());
+        let machine = crate::describe_machine(&mut sim).unwrap();
+        let profiler = crate::WorkloadProfiler::new(&machine);
+        let workloads: Vec<WorkloadDescription> = pandia_workloads::paper_suite()
+            .iter()
+            .filter(|w| !w.behavior.requires_avx || spec.has_avx)
+            .map(|w| profiler.profile(&mut sim, &w.behavior, w.name).unwrap().description)
+            .collect();
+        let placements: Vec<Placement> = pandia_topology::PlacementEnumerator::new(&machine)
+            .sampled(&machine, 42)
+            .iter()
+            .map(|c| c.instantiate(&machine).unwrap())
+            .collect();
+        assert_eq!((workloads.len(), placements.len()), (22, 2_479));
+        let config = PredictorConfig::default();
+        let mut digest = 0;
+        for w in &workloads {
+            for p in &placements {
+                digest = fold_prediction(digest, &predict(&machine, w, p, &config).unwrap());
+            }
+        }
+        assert_eq!(digest, 0x3b7d_54dc_fd83_73c6, "digest {digest:#018x}");
+    }
+
+    /// Up to `jobs` disjoint placements whose cores host few distinct
+    /// job multisets, so thread classes have many members: every core
+    /// takes one of two tenant patterns (a job or nothing per SMT slot),
+    /// and each job's contexts are shuffled. A job no pattern names is
+    /// left out.
+    fn patterned_placements(rng: &mut u64, shape: MachineShape, jobs: usize) -> Vec<Placement> {
+        let tpc = shape.threads_per_core;
+        let mut ctxs = vec![Vec::new(); jobs];
+        let patterns: Vec<Vec<u64>> = (0..2)
+            .map(|_| (0..tpc).map(|_| splitmix64(rng) % (jobs as u64 + 1)).collect())
+            .collect();
+        for core in 0..shape.total_cores() {
+            let pattern = &patterns[(splitmix64(rng) % 2) as usize];
+            for (slot, &j) in pattern.iter().enumerate() {
+                if let Some(job) = ctxs.get_mut(j as usize) {
+                    job.push(CtxId(core * tpc + slot));
+                }
+            }
+        }
+        ctxs.retain(|c| !c.is_empty());
+        for c in &mut ctxs {
+            for i in (1..c.len()).rev() {
+                c.swap(i, (splitmix64(rng) % (i as u64 + 1)) as usize);
+            }
+        }
+        ctxs.into_iter().map(|c| Placement::new(&shape, c).unwrap()).collect()
+    }
+
+    /// The number of thread classes of `placements`: distinct (job,
+    /// socket, sorted jobs of the thread's core).
+    fn classes_of(shape: MachineShape, placements: &[Placement]) -> usize {
+        let threads: Vec<_> = placements
+            .iter()
+            .enumerate()
+            .flat_map(|(j, p)| p.contexts().iter().map(move |&c| (j, shape.core_of_ctx(c))))
+            .collect();
+        let mut keys: Vec<_> = threads
+            .iter()
+            .map(|&(j, core)| {
+                let tenants: Vec<usize> = threads.iter().filter(|u| u.1 == core).map(|u| u.0).collect();
+                (j, shape.socket_of_core(core), tenants)
+            })
+            .collect();
+        keys.sort();
+        keys.dedup();
+        keys.len()
+    }
+
+    #[test]
+    fn class_predictions_match_the_per_thread_spec_bit_for_bit() {
+        // Seeded 1-3-job predictions on 1-, 2- and 4-socket machines with
+        // one and two SMT slots and an SMT co-schedule factor below 1: jobs
+        // on a shuffled machine, where they share cores at random, and
+        // patterned jobs, whose classes have many members. Every output
+        // word must equal the per-thread spec's.
+        const SHAPES: [MachineShape; 5] = [
+            MachineShape { sockets: 1, cores_per_socket: 4, threads_per_core: 2 },
+            MachineShape { sockets: 2, cores_per_socket: 4, threads_per_core: 1 },
+            MachineShape { sockets: 2, cores_per_socket: 6, threads_per_core: 2 },
+            MachineShape { sockets: 4, cores_per_socket: 3, threads_per_core: 1 },
+            MachineShape { sockets: 4, cores_per_socket: 2, threads_per_core: 2 },
+        ];
+        let dampened = PredictorConfig { tolerance: 1e-12, dampen_after: 3, max_iterations: 40 };
+        let mut rng = 0x0c1a_55e5_u64;
+        let (mut predictions, mut threads, mut classes) = (0, 0, 0);
+        for shape in SHAPES {
+            for case in 0..60 {
+                let m = random_machine(&mut rng, shape);
+                let jobs = 1 + case % 3;
+                let placements = if case % 2 == 0 {
+                    random_placements(&mut rng, shape, jobs)
+                } else {
+                    patterned_placements(&mut rng, shape, jobs)
+                };
+                let workloads: Vec<WorkloadDescription> =
+                    placements.iter().map(|_| random_workload(&mut rng, shape.sockets)).collect();
+                let pairs: Vec<(&WorkloadDescription, &Placement)> =
+                    workloads.iter().zip(&placements).collect();
+                let config = if case % 4 == 3 { dampened.clone() } else { PredictorConfig::default() };
+                let got = predict_jobs(&m, &pairs, &config).unwrap();
+                let want = predict_jobs_spec(&m, &pairs, &config);
+                assert_eq!(got.len(), want.len());
+                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(words(g) == words(w), "{shape:?} case {case} job {j}:\n{g:?}\nvs spec\n{w:?}");
+                }
+                predictions += got.len();
+                if case % 2 == 1 {
+                    threads += placements.iter().map(Placement::n_threads).sum::<usize>();
+                    classes += classes_of(shape, &placements);
+                }
+            }
+        }
+        assert_eq!(predictions, 499);
+        assert!(2 * classes < threads, "patterned jobs: {classes} classes of {threads} threads");
     }
 
     #[test]

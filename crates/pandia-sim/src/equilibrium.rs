@@ -142,8 +142,13 @@ pub struct SolveStats {
 /// solver sits two calls deep in the engine's per-segment hot loop.
 #[derive(Debug, Default)]
 struct PristineState {
-    /// The entities the state was built from. Slots are reused on
-    /// rebuild so inner demand vectors keep their capacity.
+    /// The rate-cap bits of the last call's entities, which
+    /// [`IncrementalSolver::solve_same_demands`] compares to skip a fill.
+    max_rates: Vec<u64>,
+    /// A copy of the entities the state was built from, read only by
+    /// debug builds' check of `solve_same_demands`'s contract. Slots are
+    /// reused on rebuild so inner demand vectors keep their capacity.
+    #[cfg(debug_assertions)]
     entities: Vec<EntityDemand>,
     /// Entity indices with positive max rate, ascending.
     active: Vec<usize>,
@@ -161,6 +166,7 @@ struct PristineState {
 /// demand bundles are bitwise equal and the entity is active (positive
 /// max rate) in both. The *value* of a positive max rate only matters to
 /// the filling loop, which always reads it fresh.
+#[cfg(debug_assertions)]
 fn same_pristine(a: &EntityDemand, b: &EntityDemand) -> bool {
     (a.max_rate > 0.0) == (b.max_rate > 0.0)
         && a.demands.len() == b.demands.len()
@@ -173,7 +179,8 @@ fn same_pristine(a: &EntityDemand, b: &EntityDemand) -> bool {
 impl PristineState {
     /// Rebuilds the state for `entities` over `m` pools.
     fn build(&mut self, entities: &[EntityDemand], m: usize) {
-        self.entities.truncate(entities.len());
+        #[cfg(debug_assertions)]
+        self.copy_entities(entities);
         self.active.clear();
         for list in &mut self.contrib {
             list.clear();
@@ -192,6 +199,14 @@ impl PristineState {
                     self.slope[r] += d;
                 }
             }
+        }
+    }
+
+    /// Copies `entities` into [`Self::entities`], reusing its slots.
+    #[cfg(debug_assertions)]
+    fn copy_entities(&mut self, entities: &[EntityDemand]) {
+        self.entities.truncate(entities.len());
+        for (idx, e) in entities.iter().enumerate() {
             if let Some(slot) = self.entities.get_mut(idx) {
                 slot.max_rate = e.max_rate;
                 slot.demands.clear();
@@ -299,18 +314,19 @@ impl IncrementalSolver {
     pub fn solve_same_demands(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &[f64] {
         let pristine = &self.pristine;
         debug_assert!(self.primed);
-        debug_assert_eq!(pristine.entities.len(), entities.len());
+        debug_assert_eq!(pristine.max_rates.len(), entities.len());
         debug_assert_eq!(pristine.slope.len(), capacities.len());
+        #[cfg(debug_assertions)]
         debug_assert!(pristine
             .entities
             .iter()
             .zip(entities)
             .all(|(prev, cur)| same_pristine(prev, cur)));
         let caps_match = pristine
-            .entities
+            .max_rates
             .iter()
             .zip(entities)
-            .all(|(prev, cur)| prev.max_rate.to_bits() == cur.max_rate.to_bits());
+            .all(|(&prev, cur)| prev == cur.max_rate.to_bits());
         if caps_match && bits_eq(&self.capacities, capacities) {
             self.stats.solves_skipped += 1;
             return &self.rates;
@@ -323,9 +339,8 @@ impl IncrementalSolver {
     /// ignores their values, but the next call's skip check needs the
     /// exact bits — and runs the filling loop over the pristine state.
     fn fill(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &[f64] {
-        for (slot, src) in self.pristine.entities.iter_mut().zip(entities) {
-            slot.max_rate = src.max_rate;
-        }
+        self.pristine.max_rates.clear();
+        self.pristine.max_rates.extend(entities.iter().map(|e| e.max_rate.to_bits()));
         self.capacities.clear();
         self.capacities.extend_from_slice(capacities);
         fill_pristine(

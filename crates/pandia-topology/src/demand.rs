@@ -74,6 +74,8 @@ impl DemandVector {
     /// * L3 demand → the core's L3 link **and** the socket's L3 aggregate;
     /// * DRAM demand to node `m` → node `m`'s DRAM channels, plus the
     ///   interconnect link between the thread's socket and `m` when remote.
+    ///
+    /// A demand that is not positive is not routed.
     pub fn route(
         &self,
         shape: &impl HasShape,
