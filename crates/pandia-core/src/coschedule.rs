@@ -23,7 +23,7 @@ use crate::{
     description::MachineDescription,
     error::PandiaError,
     exec::{ExecContext, JointSession},
-    predictor::{amdahl_speedup, Prediction, PredictorConfig},
+    predictor::{amdahl_speedup, Estimate, PredictorConfig},
     workload_desc::WorkloadDescription,
 };
 
@@ -49,8 +49,9 @@ pub struct JobAssignment {
 pub struct CoSchedule {
     /// Per-job assignments, in input order.
     pub assignments: Vec<JobAssignment>,
-    /// Per-job predictions under the joint placement.
-    pub predictions: Vec<Prediction>,
+    /// Per-job predictions under the joint placement: what the
+    /// objective and every reader use of each.
+    pub predictions: Vec<Estimate>,
     /// The objective value (lower is better).
     pub objective: f64,
     /// The concrete placements (disjoint), in input order.
@@ -247,9 +248,7 @@ impl<'m> CoScheduler<'m> {
                 None => return Ok(None), // infeasible combination
             }
         }
-        let job_refs: Vec<(&WorkloadDescription, &Placement)> =
-            jobs.iter().copied().zip(placements.iter()).collect();
-        let predictions = session.predict_jobs(&job_refs)?;
+        let predictions = session.predict_jobs(&placements)?;
         let times: Vec<f64> = predictions.iter().map(|p| p.predicted_time).collect();
         let objective = self.objective_of(&times, solo_times);
         Ok(Some(CoSchedule { assignments, predictions, objective, placements }))
@@ -498,7 +497,7 @@ mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::predict_jobs;
+    use crate::predictor::{predict_jobs, Prediction};
     use crate::test_rng::{draw, random_machine, splitmix64};
     use pandia_topology::DemandVector;
 
@@ -754,28 +753,25 @@ mod tests {
         assert!(rejected > 0, "the filter never engaged");
     }
 
-    /// Every float of a schedule as its bit pattern, with the integer and
-    /// enum fields alongside, so equal fingerprints mean bit-equal schedules.
-    fn fingerprint(s: &CoSchedule) -> (u64, &[JobAssignment], &[Placement], Vec<u64>, Vec<String>) {
-        let mut bits = Vec::new();
-        let mut bottlenecks = Vec::new();
-        for p in &s.predictions {
-            bits.extend([p.n_threads as u64, p.iterations as u64]);
-            bits.extend([p.amdahl_speedup, p.speedup, p.predicted_time].map(f64::to_bits));
-            bits.extend(p.resource_loads.iter().map(|v| v.to_bits()));
-            for t in &p.threads {
-                let fields = [
-                    t.resource_slowdown,
-                    t.communication_penalty,
-                    t.load_balance_penalty,
-                    t.slowdown,
-                    t.utilization,
-                ];
-                bits.extend(fields.map(f64::to_bits));
-                bottlenecks.push(format!("{:?}", t.bottleneck));
-            }
-        }
-        (s.objective.to_bits(), &s.assignments, &s.placements, bits, bottlenecks)
+    /// Every field of each estimate, each float as its bits.
+    fn estimate_bits(estimates: impl IntoIterator<Item = Estimate>) -> Vec<u64> {
+        let fields = |e: Estimate| [e.n_threads as u64, e.speedup.to_bits(), e.predicted_time.to_bits()];
+        estimates.into_iter().flat_map(fields).collect()
+    }
+
+    /// Every float of a schedule as its bit pattern, with the integer
+    /// fields alongside, so equal fingerprints mean bit-equal schedules.
+    fn fingerprint(s: &CoSchedule) -> (u64, &[JobAssignment], &[Placement], Vec<u64>) {
+        let estimates = estimate_bits(s.predictions.iter().copied());
+        (s.objective.to_bits(), &s.assignments, &s.placements, estimates)
+    }
+
+    /// `fingerprint`'s estimate bits, from an uncached `predict_jobs` over
+    /// the schedule's placements.
+    fn uncached_bits(m: &MachineDescription, jobs: &[&WorkloadDescription], s: &CoSchedule) -> Vec<u64> {
+        let pairs: Vec<_> = jobs.iter().copied().zip(&s.placements).collect();
+        let predictions = predict_jobs(m, &pairs, &PredictorConfig::default()).unwrap();
+        estimate_bits(predictions.iter().map(Prediction::estimate))
     }
 
     #[test]
@@ -807,17 +803,19 @@ mod tests {
             let refs: Vec<&WorkloadDescription> = jobs.iter().collect();
             let expected =
                 spec::schedule(&CoScheduler::new(&m).with_objective(objective), &refs).unwrap();
+            let case_of =
+                |label| format!("case {case}: {n_jobs} jobs on {shape:?}, {objective:?}, {label}");
+            let spec_bits = uncached_bits(&m, &refs, &expected);
+            assert_eq!(fingerprint(&expected).3, spec_bits, "{}", case_of("spec"));
             for (label, exec) in &contexts {
                 let got = CoScheduler::new(&m)
                     .with_objective(objective)
                     .with_exec(exec.clone())
                     .schedule(&refs)
                     .unwrap();
-                assert_eq!(
-                    fingerprint(&got),
-                    fingerprint(&expected),
-                    "case {case}: {n_jobs} jobs on {shape:?}, {objective:?}, {label} context"
-                );
+                assert_eq!(fingerprint(&got), fingerprint(&expected), "{} context", case_of(label));
+                let got_bits = uncached_bits(&m, &refs, &got);
+                assert_eq!(fingerprint(&got).3, got_bits, "{} context", case_of(label));
                 schedules += 1;
             }
         }

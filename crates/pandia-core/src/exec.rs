@@ -23,17 +23,20 @@
 //!   hashed LRU index ([`LruMemo`]), so a hit is one probe. Repeated
 //!   sweeps over overlapping candidate sets (e.g. `plan` followed by
 //!   `scaling_profile`) hit the cache instead of re-running the
-//!   fixed-point iteration. Stored predictions are shared, so a hit is
-//!   read in place or a reference-count bump, never a copy.
+//!   fixed-point iteration. An entry keeps only each job's [`Estimate`],
+//!   the three scalars every reader uses, not the whole [`Prediction`]
+//!   with its per-thread detail and resource loads.
 //!
 //! [`PredictSession`] and [`JointSession`] bind the two together for
 //! single-workload and co-scheduled predictions respectively: they hash
-//! the sweep-invariant inputs once, then extend the fingerprint with
-//! each placement's context list per call.
+//! the sweep-invariant inputs and build the machine's resource table
+//! once, then extend the fingerprint with each placement's context list
+//! per call. A single-workload hit copies one estimate out; a joint hit
+//! copies one per job.
 //! [`PredictSession::predict_batch`] answers a whole candidate list:
 //! it keys each canonical placement from its context walk, reads every
-//! hit in place under one lock per shard, and instantiates and predicts
-//! only the misses.
+//! hit under one lock per shard, and instantiates and predicts only the
+//! misses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -44,7 +47,7 @@ use crate::{
     description::MachineDescription,
     error::PandiaError,
     memo::LruMemo,
-    predictor::{predict, predict_jobs, Prediction, PredictorConfig},
+    predictor::{Estimate, Prediction, Predictor, PredictorConfig},
     workload_desc::WorkloadDescription,
 };
 
@@ -142,29 +145,33 @@ const SHARD_COUNT: usize = 8;
 
 /// Default total entry budget across all shards. Generous enough that
 /// the committed sweeps never evict, small enough that a long-lived
-/// daemon's prediction memory stays bounded.
+/// daemon's prediction memory stays bounded. A single-workload entry
+/// holds 149 live heap bytes over the 54,538 x5-2 fig10 predictions and
+/// 182 over x3-2's 17,534 (the index, the entry and its one estimate),
+/// so a full cache holds about 10–12 MB.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// One shard: a bounded LRU memo of shared prediction slices.
-type Shard = Mutex<LruMemo<u128, Arc<[Prediction]>>>;
+/// One shard: a bounded LRU memo of shared estimate slices.
+type Shard = Mutex<LruMemo<u128, Arc<[Estimate]>>>;
 
 /// The shard a key lives in: its low bits.
 fn shard_index(key: u128) -> usize {
     (key as usize) & (SHARD_COUNT - 1)
 }
 
-fn lock(shard: &Shard) -> MutexGuard<'_, LruMemo<u128, Arc<[Prediction]>>> {
+fn lock(shard: &Shard) -> MutexGuard<'_, LruMemo<u128, Arc<[Estimate]>>> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A sharded, thread-safe, bounded memo table from prediction
-/// fingerprints to prediction results.
+/// fingerprints to the [`Estimate`]s of the predictions.
 ///
-/// Values are shared `Arc<[Prediction]>` slices, so single-workload
+/// Values are shared `Arc<[Estimate]>` slices, so single-workload
 /// predictions (length 1) and joint co-schedule predictions (one per
-/// job) share one table, and a hit hands out the stored slice without
-/// copying it. Sharding keeps lock contention negligible when many
-/// workers look up predictions concurrently.
+/// job) share one table. [`PredictionCache::lookup`] shares the stored
+/// slice; the sessions copy its few estimates out. Sharding keeps lock
+/// contention negligible when many workers look up predictions
+/// concurrently.
 ///
 /// Each shard holds at most `capacity / SHARD_COUNT` entries; inserting
 /// past that bound evicts the least-recently-used entry in the shard
@@ -223,7 +230,7 @@ impl PredictionCache {
 
     /// Looks a key up, counting the hit or miss. A hit refreshes the
     /// entry's recency and shares the stored slice.
-    pub fn lookup(&self, key: u128) -> Option<Arc<[Prediction]>> {
+    pub fn lookup(&self, key: u128) -> Option<Arc<[Estimate]>> {
         let found = lock(self.shard(key)).get(&key).cloned();
         let hit = u64::from(found.is_some());
         self.tally(hit, 1 - hit);
@@ -236,7 +243,7 @@ impl PredictionCache {
     /// batch order. `hit` runs under the shard's lock, so it must not
     /// touch the cache. The batch's hits and misses are counted with one
     /// add each.
-    fn read_batch(&self, keys: &[(usize, u128)], mut hit: impl FnMut(usize, &[Prediction])) {
+    fn read_batch(&self, keys: &[(usize, u128)], mut hit: impl FnMut(usize, &[Estimate])) {
         let mut by_shard: [Vec<(usize, u128)>; SHARD_COUNT] = Default::default();
         for &(i, key) in keys {
             by_shard[shard_index(key)].push((i, key));
@@ -257,13 +264,13 @@ impl PredictionCache {
         self.tally(hits, keys.len() as u64 - hits);
     }
 
-    /// Stores predictions under a key, evicting the shard's
+    /// Stores estimates under a key, evicting the shard's
     /// least-recently-used entry when the shard is full.
-    pub fn store(&self, key: u128, predictions: impl Into<Arc<[Prediction]>>) {
-        let predictions = predictions.into();
+    pub fn store(&self, key: u128, estimates: impl Into<Arc<[Estimate]>>) {
+        let estimates = estimates.into();
         let evicted = {
             let mut shard = lock(self.shard(key));
-            shard.insert(key, predictions);
+            shard.insert(key, estimates);
             shard.evict_to(self.shard_capacity)
         };
         if evicted > 0 {
@@ -476,15 +483,16 @@ impl Default for ExecContext {
 /// A memoizing prediction session for one (machine, workload, config)
 /// triple.
 ///
-/// The sweep-invariant inputs are serialized and hashed once at
-/// construction; each [`PredictSession::predict_with`] call extends that
-/// prefix with the placement's concrete context list, and
+/// The sweep-invariant inputs are serialized and hashed, and the
+/// machine's resource table built, once at construction; each
+/// [`PredictSession::predict`] call extends the hash with the
+/// placement's concrete context list, and
 /// [`PredictSession::predict_batch`] with each candidate's walked one.
-/// With memoization disabled this is a zero-cost wrapper around
-/// [`predict`].
+/// With memoization disabled this is a thin wrapper around
+/// [`predict`](crate::predictor::predict).
 pub struct PredictSession<'a> {
     exec: &'a ExecContext,
-    machine: &'a MachineDescription,
+    predictor: Predictor<'a>,
     workload: &'a WorkloadDescription,
     config: &'a PredictorConfig,
     prefix: Fingerprint,
@@ -504,63 +512,48 @@ impl<'a> PredictSession<'a> {
             prefix.write_str(&serde_json::to_string(workload)?);
             prefix.write_str(&serde_json::to_string(config)?);
         }
-        Ok(Self { exec, machine, workload, config, prefix })
+        Ok(Self { exec, predictor: Predictor::new(machine), workload, config, prefix })
     }
 
-    /// Predicts one placement, consulting the cache first.
-    pub fn predict(&self, placement: &Placement) -> Result<Prediction, PandiaError> {
-        self.predict_with(placement, Prediction::clone)
-    }
-
-    /// Predicts one placement and returns what `read` takes from the
-    /// prediction, reading a cached prediction where it is stored instead
-    /// of copying it out. A miss stores the fresh prediction after `read`
-    /// has seen it.
-    pub fn predict_with<R>(
-        &self,
-        placement: &Placement,
-        read: impl FnOnce(&Prediction) -> R,
-    ) -> Result<R, PandiaError> {
+    /// Predicts one placement, consulting the cache first. A miss stores
+    /// the fresh prediction's estimate.
+    pub fn predict(&self, placement: &Placement) -> Result<Estimate, PandiaError> {
         let Some(cache) = self.exec.cache() else {
-            return predict(self.machine, self.workload, placement, self.config).map(|p| read(&p));
+            return self.estimate(placement);
         };
         let key = self.key(placement);
-        if let Some(hit) = cache.lookup(key) {
-            if let Some(p) = hit.first() {
-                return Ok(read(p));
-            }
+        if let Some(&hit) = cache.lookup(key).as_deref().and_then(<[Estimate]>::first) {
+            return Ok(hit);
         }
-        let prediction = predict(self.machine, self.workload, placement, self.config)?;
-        let out = read(&prediction);
-        cache.store(key, [prediction]);
-        Ok(out)
+        let estimate = self.estimate(placement)?;
+        cache.store(key, [estimate]);
+        Ok(estimate)
     }
 
-    /// Predicts every candidate placement class and returns what `read`
-    /// takes from each prediction, in input order, or the error of the
-    /// first candidate (in input order) that fails.
+    /// Predicts every candidate placement class, in input order, or
+    /// returns the error of the first candidate (in input order) that
+    /// fails.
     ///
     /// Each candidate is keyed from its context walk
     /// ([`CanonicalPlacement::for_each_ctx`]) with the bits its
-    /// instantiated placement keys to in [`Self::predict_with`], so the
-    /// two share entries; a candidate that does not fit the machine
-    /// fails before it is keyed. The hits are read in place, one lock per
-    /// shard, with `read` running under the lock. Then only the misses
-    /// are instantiated, predicted and stored, fanned across the
-    /// context's workers. Answers, and for a duplicate-free list whose
-    /// shards do not overflow the cache counts, equal the per-candidate
-    /// `predict_with` loop's. A repeat within one batch misses twice
-    /// where the loop hits its second time, and a shard that overflows
-    /// within a batch may evict other victims, because every hit is read
-    /// before any miss is stored.
-    pub fn predict_batch<R: Send>(
+    /// instantiated placement keys to in [`Self::predict`], so the two
+    /// share entries; a candidate that does not fit the machine fails
+    /// before it is keyed. The hits are read under one lock per shard.
+    /// Then only the misses are instantiated, predicted and stored,
+    /// fanned across the context's workers. Answers, and for a
+    /// duplicate-free list whose shards do not overflow the cache counts,
+    /// equal the per-candidate `predict` loop's. A repeat within one
+    /// batch misses twice where the loop hits its second time, and a
+    /// shard that overflows within a batch may evict other victims,
+    /// because every hit is read before any miss is stored.
+    pub fn predict_batch(
         &self,
         candidates: &[CanonicalPlacement],
-        read: impl Fn(&Prediction) -> R + Sync,
-    ) -> Result<Vec<R>, PandiaError> {
+    ) -> Result<Vec<Estimate>, PandiaError> {
         // Each candidate's answer once known, and the (index, key) of
         // every candidate still waiting for one.
-        let mut answers: Vec<Option<Result<R, PandiaError>>> = Vec::with_capacity(candidates.len());
+        let mut answers: Vec<Option<Result<Estimate, PandiaError>>> =
+            Vec::with_capacity(candidates.len());
         let mut pending = Vec::with_capacity(candidates.len());
         for (i, candidate) in candidates.iter().enumerate() {
             match self.walk_key(candidate) {
@@ -573,9 +566,7 @@ impl<'a> PredictSession<'a> {
         }
         if let Some(cache) = self.exec.cache() {
             cache.read_batch(&pending, |i, stored| {
-                if let Some(p) = stored.first() {
-                    answers[i] = Some(Ok(read(p)));
-                }
+                answers[i] = stored.first().map(|&e| Ok(e));
             });
             pending.retain(|&(i, _)| answers[i].is_none());
         }
@@ -586,13 +577,12 @@ impl<'a> PredictSession<'a> {
             &pending,
             |&(i, _)| candidates[i].total_threads() as f64,
             |&(i, key)| {
-                let placement = candidates[i].instantiate(self.machine)?;
-                let prediction = predict(self.machine, self.workload, &placement, self.config)?;
-                let out = read(&prediction);
+                let placement = candidates[i].instantiate(self.predictor.machine())?;
+                let estimate = self.estimate(&placement)?;
                 if let Some(cache) = self.exec.cache() {
-                    cache.store(key, [prediction]);
+                    cache.store(key, [estimate]);
                 }
-                Ok(out)
+                Ok(estimate)
             },
         );
         for (&(i, _), answer) in pending.iter().zip(fresh) {
@@ -600,6 +590,11 @@ impl<'a> PredictSession<'a> {
         }
         debug_assert!(answers.iter().all(Option::is_some), "every candidate answered");
         answers.into_iter().flatten().collect()
+    }
+
+    /// Predicts one placement without the cache.
+    fn estimate(&self, placement: &Placement) -> Result<Estimate, PandiaError> {
+        Ok(self.predictor.predict(self.workload, placement, self.config)?.estimate())
     }
 
     /// The cache key of one placement: the session prefix extended with
@@ -616,7 +611,7 @@ impl<'a> PredictSession<'a> {
     /// bits [`Self::key`] gives its instantiated placement.
     fn walk_key(&self, candidate: &CanonicalPlacement) -> Result<u128, TopologyError> {
         let mut fp = self.prefix;
-        candidate.for_each_ctx(self.machine, |ctx| fp.write_usize(ctx.0))?;
+        candidate.for_each_ctx(self.predictor.machine(), |ctx| fp.write_usize(ctx.0))?;
         Ok(fp.key())
     }
 }
@@ -625,12 +620,13 @@ impl<'a> PredictSession<'a> {
 /// job list.
 ///
 /// The machine, predictor config, and every job's workload description
-/// are hashed into the prefix at construction, **in order**; each
-/// [`JointSession::predict_jobs`] call must pass the same workloads in
-/// the same order and extends the prefix with the per-job placements.
+/// are hashed into the prefix at construction, **in order**, and the
+/// session keeps the list; each [`JointSession::predict_jobs`] call
+/// passes one placement per job and extends the prefix with them.
 pub struct JointSession<'a> {
-    machine: &'a MachineDescription,
+    predictor: Predictor<'a>,
     config: &'a PredictorConfig,
+    jobs: &'a [&'a WorkloadDescription],
     cache: Option<&'a PredictionCache>,
     prefix: Fingerprint,
 }
@@ -642,7 +638,7 @@ impl<'a> JointSession<'a> {
         exec: &'a ExecContext,
         machine: &'a MachineDescription,
         config: &'a PredictorConfig,
-        jobs: &[&WorkloadDescription],
+        jobs: &'a [&'a WorkloadDescription],
     ) -> Result<Self, PandiaError> {
         let cache = exec.cache();
         let mut prefix = Fingerprint::new();
@@ -654,21 +650,22 @@ impl<'a> JointSession<'a> {
                 prefix.write_str(&serde_json::to_string(*workload)?);
             }
         }
-        Ok(Self { machine, config, cache, prefix })
+        Ok(Self { predictor: Predictor::new(machine), config, jobs, cache, prefix })
     }
 
-    /// Predicts the jobs under the given placements, consulting the
-    /// cache first. The workloads must match the list the session was
-    /// created with, in the same order.
-    pub fn predict_jobs(
-        &self,
-        jobs: &[(&WorkloadDescription, &Placement)],
-    ) -> Result<Vec<Prediction>, PandiaError> {
+    /// Predicts the session's jobs under `placements`, the placement of
+    /// each job in the session's order, consulting the cache first.
+    pub fn predict_jobs(&self, placements: &[Placement]) -> Result<Vec<Estimate>, PandiaError> {
+        if placements.len() != self.jobs.len() {
+            return Err(PandiaError::Mismatch {
+                reason: format!("{} placements for {} jobs", placements.len(), self.jobs.len()),
+            });
+        }
         let Some(cache) = self.cache else {
-            return predict_jobs(self.machine, jobs, self.config);
+            return self.estimate(placements);
         };
         let mut fp = self.prefix;
-        for (_, placement) in jobs {
+        for placement in placements {
             fp.write_usize(usize::MAX); // placement frame separator
             for ctx in placement.contexts() {
                 fp.write_usize(ctx.0);
@@ -678,16 +675,29 @@ impl<'a> JointSession<'a> {
         if let Some(hit) = cache.lookup(key) {
             return Ok(hit.to_vec());
         }
-        let predictions = predict_jobs(self.machine, jobs, self.config)?;
-        cache.store(key, predictions.as_slice());
-        Ok(predictions)
+        let estimates = self.estimate(placements)?;
+        cache.store(key, estimates.as_slice());
+        Ok(estimates)
+    }
+
+    /// Predicts the jobs under `placements` without the cache.
+    fn estimate(&self, placements: &[Placement]) -> Result<Vec<Estimate>, PandiaError> {
+        let jobs: Vec<_> = self.jobs.iter().copied().zip(placements).collect();
+        let predictions = self.predictor.predict_jobs(&jobs, self.config)?;
+        Ok(predictions.iter().map(Prediction::estimate).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::{predict, predict_jobs};
     use pandia_topology::{CtxId, MachineShape};
+
+    /// Every field of an estimate, each float as its bits.
+    fn bits(e: &Estimate) -> (usize, u64, u64) {
+        (e.n_threads, e.speedup.to_bits(), e.predicted_time.to_bits())
+    }
 
     fn machine() -> MachineDescription {
         let mut m = MachineDescription::toy();
@@ -835,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_reads_hits_where_predict_with_stored_them() {
+    fn batch_reads_hits_where_predict_stored_them() {
         let exec = ExecContext::new(1);
         let m = machine();
         let w = WorkloadDescription::example();
@@ -846,18 +856,18 @@ mod tests {
                 .into_iter()
                 .map(CanonicalPlacement::new)
                 .collect();
-        let time = |p: &Prediction| p.predicted_time.to_bits();
-        let first = session.predict_with(&candidates[1].instantiate(&m).unwrap(), time).unwrap();
-        let cold = session.predict_batch(&candidates, time).unwrap();
-        assert_eq!(cold[1], first);
+        let all_bits = |estimates: Vec<Estimate>| estimates.iter().map(bits).collect::<Vec<_>>();
+        let first = session.predict(&candidates[1].instantiate(&m).unwrap()).unwrap();
+        let cold = all_bits(session.predict_batch(&candidates).unwrap());
+        assert_eq!(cold[1], bits(&first));
         let stats = exec.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 4, 4));
-        assert_eq!(session.predict_batch(&candidates, time).unwrap(), cold);
+        assert_eq!(all_bits(session.predict_batch(&candidates).unwrap()), cold);
         let stats = exec.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (5, 4, 4));
         let uncached = ExecContext::new(1).with_cache(false);
         let plain = PredictSession::new(&uncached, &m, &w, &config).unwrap();
-        assert_eq!(plain.predict_batch(&candidates, time).unwrap(), cold);
+        assert_eq!(all_bits(plain.predict_batch(&candidates).unwrap()), cold);
         assert_eq!(uncached.cache_stats(), CacheStats::default());
     }
 
@@ -873,11 +883,10 @@ mod tests {
         let session = PredictSession::new(&exec, &m, &w, &config).unwrap();
         let two_one = CanonicalPlacement::new(vec![vec![2, 1]]);
         let three = CanonicalPlacement::new(vec![vec![3]]);
-        let time = |p: &Prediction| p.predicted_time;
-        session.predict_batch(std::slice::from_ref(&two_one), time).unwrap();
+        session.predict_batch(std::slice::from_ref(&two_one)).unwrap();
         let expected = PandiaError::from(three.instantiate(&m).unwrap_err());
         for batch in [[two_one.clone(), three.clone()], [three.clone(), two_one.clone()]] {
-            assert_eq!(session.predict_batch(&batch, time).unwrap_err(), expected);
+            assert_eq!(session.predict_batch(&batch).unwrap_err(), expected);
         }
         let stats = exec.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
@@ -895,7 +904,9 @@ mod tests {
         let session = PredictSession::new(&exec, &m, &w, &config).unwrap();
         let cold = session.predict(&placement).unwrap();
         let warm = session.predict(&placement).unwrap();
-        assert_eq!(cold, warm, "cached prediction must be identical");
+        let uncached = predict(&m, &w, &placement, &config).unwrap().estimate();
+        assert_eq!(bits(&cold), bits(&uncached));
+        assert_eq!(bits(&warm), bits(&uncached), "a hit must equal the uncached prediction");
 
         let stats = exec.cache_stats();
         assert_eq!(stats.misses, 1);
@@ -977,16 +988,26 @@ mod tests {
         let pa = Placement::new(&shape, vec![CtxId(0)]).unwrap();
         let pb = Placement::new(&shape, vec![CtxId(4)]).unwrap();
 
-        let session = JointSession::new(&exec, &m, &config, &[&a, &b]).unwrap();
-        let cold = session.predict_jobs(&[(&a, &pa), (&b, &pb)]).unwrap();
-        let warm = session.predict_jobs(&[(&a, &pa), (&b, &pb)]).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(cold.len(), 2);
+        let jobs = [&a, &b];
+        let session = JointSession::new(&exec, &m, &config, &jobs).unwrap();
+        let (ab, ba) = ([pa.clone(), pb.clone()], [pb.clone(), pa.clone()]);
+        let cold = session.predict_jobs(&ab).unwrap();
+        let warm = session.predict_jobs(&ab).unwrap();
+        let uncached = predict_jobs(&m, &[(&a, &pa), (&b, &pb)], &config).unwrap();
+        let uncached: Vec<_> = uncached.iter().map(|p| bits(&p.estimate())).collect();
+        assert_eq!(cold.iter().map(bits).collect::<Vec<_>>(), uncached);
+        assert_eq!(warm.iter().map(bits).collect::<Vec<_>>(), uncached, "a hit must equal it");
         let stats = exec.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
 
         // Swapping the placements is a different joint candidate.
-        session.predict_jobs(&[(&a, &pb), (&b, &pa)]).unwrap();
+        session.predict_jobs(&ba).unwrap();
         assert_eq!(exec.cache_stats().misses, 2);
+
+        // One placement per job, or a typed error before the cache.
+        let err = session.predict_jobs(&ab[..1]).unwrap_err();
+        assert!(matches!(err, PandiaError::Mismatch { .. }), "{err:?}");
+        let stats = exec.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
     }
 }

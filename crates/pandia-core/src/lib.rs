@@ -60,7 +60,7 @@ pub use fleet::{
 pub use machine_gen::{describe_machine, MachineDescriptionGenerator, MachineGenConfig};
 pub use online::{DriftPolicy, OnlineConfig, OnlineController, OnlineReport};
 pub use planner::{plan, plan_with, scaling_profile, scaling_profile_with, CapacityPlan, ScalingPoint, Target};
-pub use predictor::{predict, predict_jobs, Prediction, PredictorConfig, ThreadPrediction};
+pub use predictor::{predict, predict_jobs, Estimate, Prediction, PredictorConfig, ThreadPrediction};
 pub use profiler::{
     measure_with_policy, ProfileAudit, ProfileConfig, ProfileReport, RobustnessPolicy,
     RunRecord, WorkloadProfiler,

@@ -29,7 +29,7 @@
 //! iterations to prevent oscillation, and all slowdowns are clamped to the
 //! range seen on the first iteration (§5.4).
 
-use pandia_topology::{HasShape, Placement, ResourceId, ResourceKind};
+use pandia_topology::{HasShape, Placement, ResourceId, ResourceKind, ResourceTable};
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -105,6 +105,27 @@ impl Prediction {
     pub fn relative_time(&self, t1: f64) -> f64 {
         self.predicted_time / t1
     }
+
+    /// The three scalars a placement decision reads.
+    pub fn estimate(&self) -> Estimate {
+        Estimate {
+            n_threads: self.n_threads,
+            speedup: self.speedup,
+            predicted_time: self.predicted_time,
+        }
+    }
+}
+
+/// What the placement search, the planner and the co-scheduler read from
+/// a [`Prediction`] (§1, §6.1), and all that the prediction cache keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Estimate {
+    /// Number of threads in the placement.
+    pub n_threads: usize,
+    /// Predicted overall speedup relative to the single-thread run.
+    pub speedup: f64,
+    /// Predicted execution time (`t1 / speedup`).
+    pub predicted_time: f64,
 }
 
 /// Predicts workload performance for a placement (paper §5).
@@ -133,10 +154,7 @@ pub fn predict(
     placement: &Placement,
     config: &PredictorConfig,
 ) -> Result<Prediction, PandiaError> {
-    let mut results = predict_jobs(machine, &[(workload, placement)], config)?;
-    results.pop().ok_or_else(|| PandiaError::Mismatch {
-        reason: "predict_jobs returned no prediction for a single job".into(),
-    })
+    Predictor::new(machine).predict(workload, placement, config)
 }
 
 /// Predicts the performance of several workloads co-scheduled on one
@@ -153,252 +171,297 @@ pub fn predict_jobs(
     jobs: &[(&WorkloadDescription, &Placement)],
     config: &PredictorConfig,
 ) -> Result<Vec<Prediction>, PandiaError> {
-    let threads: usize = jobs.iter().map(|(_, p)| p.n_threads()).sum();
-    let _span = pandia_obs::span("predictor", "predict_jobs")
-        .arg("jobs", jobs.len())
-        .arg("threads", threads);
-    pandia_obs::count("predict.evals", 1);
-    machine.validate()?;
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let shape = machine.shape();
-    let contexts = shape.total_contexts();
-    let mismatch = |reason: String| Err(PandiaError::Mismatch { reason });
-    for (workload, placement) in jobs {
-        workload.validate()?;
-        if workload.demand.dram.len() != shape.sockets {
-            return mismatch(format!(
-                "workload description '{}' has {} memory nodes but machine has {} sockets \
-                 (use retarget_sockets for cross-machine predictions)",
-                workload.name,
-                workload.demand.dram.len(),
-                shape.sockets
-            ));
-        }
-        // `Placement::new` checks a placement against the shape it is
-        // given, which need not be this machine's; deserializing checks
-        // nothing.
-        if placement.n_threads() == 0 {
-            return mismatch(format!("placement of '{}' has no threads", workload.name));
-        }
-        if let Some(ctx) = placement.contexts().iter().find(|ctx| ctx.0 >= contexts) {
-            return mismatch(format!(
-                "placement of '{}' uses context {} but the machine has {contexts}",
-                workload.name, ctx.0
-            ));
-        }
-    }
-    let table = machine.resource_table();
+    Predictor::new(machine).predict_jobs(jobs, config)
+}
 
-    // Flatten all jobs' threads, job-major. Thread `t`'s route is
-    // `routes[route_start[t]..route_start[t + 1]]`: at most five core and
-    // L3 entries, a DRAM channel per memory node and a link per remote
-    // one. Sized up front: grown by reallocation, the flat buffer made
-    // small joint predictions up to 20% slower once the heap had aged.
-    // `tenants` holds one slot per context, `tpc` per core: the jobs of
-    // a core's threads in thread order, and so ascending, then `FREE`.
-    let tpc = shape.threads_per_core;
-    let mut job_ctx: Vec<JobCtx> = Vec::with_capacity(jobs.len());
-    let mut routes: Vec<(ResourceId, f64)> = Vec::with_capacity(threads * (4 + 2 * shape.sockets));
-    let mut route_start = Vec::with_capacity(threads + 1);
-    route_start.push(0);
-    let mut used_ctx = vec![false; contexts];
-    let mut tenants = vec![FREE; contexts];
-    for (j, (workload, placement)) in jobs.iter().enumerate() {
-        let start = route_start.len() - 1;
-        for &ctx in placement.contexts() {
-            if used_ctx[ctx.0] {
-                return mismatch(format!("co-scheduled placements overlap at context {}", ctx.0));
+/// A machine description with its resource table, built once for every
+/// prediction a session, a search or a parameter solve makes on the
+/// machine. [`predict`] and [`predict_jobs`] build one per call.
+pub(crate) struct Predictor<'m> {
+    machine: &'m MachineDescription,
+    table: ResourceTable,
+}
+
+impl<'m> Predictor<'m> {
+    pub(crate) fn new(machine: &'m MachineDescription) -> Self {
+        Self { machine, table: machine.resource_table() }
+    }
+
+    pub(crate) fn machine(&self) -> &'m MachineDescription {
+        self.machine
+    }
+
+    /// [`predict`] on this machine.
+    pub(crate) fn predict(
+        &self,
+        workload: &WorkloadDescription,
+        placement: &Placement,
+        config: &PredictorConfig,
+    ) -> Result<Prediction, PandiaError> {
+        let mut results = self.predict_jobs(&[(workload, placement)], config)?;
+        results.pop().ok_or_else(|| PandiaError::Mismatch {
+            reason: "predict_jobs returned no prediction for a single job".into(),
+        })
+    }
+
+    /// [`predict_jobs`] on this machine.
+    pub(crate) fn predict_jobs(
+        &self,
+        jobs: &[(&WorkloadDescription, &Placement)],
+        config: &PredictorConfig,
+    ) -> Result<Vec<Prediction>, PandiaError> {
+        let (machine, table) = (self.machine, &self.table);
+        let threads: usize = jobs.iter().map(|(_, p)| p.n_threads()).sum();
+        let _span = pandia_obs::span("predictor", "predict_jobs")
+            .arg("jobs", jobs.len())
+            .arg("threads", threads);
+        pandia_obs::count("predict.evals", 1);
+        machine.validate()?;
+        if jobs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let shape = machine.shape();
+        let contexts = shape.total_contexts();
+        let mismatch = |reason: String| Err(PandiaError::Mismatch { reason });
+        for (workload, placement) in jobs {
+            workload.validate()?;
+            if workload.demand.dram.len() != shape.sockets {
+                return mismatch(format!(
+                    "workload description '{}' has {} memory nodes but machine has {} sockets \
+                     (use retarget_sockets for cross-machine predictions)",
+                    workload.name,
+                    workload.demand.dram.len(),
+                    shape.sockets
+                ));
             }
-            used_ctx[ctx.0] = true;
-            let core = shape.core_of_ctx(ctx).0;
-            // Each of the core's `tpc` contexts hosts one thread at most,
-            // so a slot is free.
-            if let Some(slot) = tenants[core * tpc..][..tpc].iter_mut().find(|s| **s == FREE) {
-                *slot = j;
+            // `Placement::new` checks a placement against the shape it is
+            // given, which need not be this machine's; deserializing checks
+            // nothing.
+            if placement.n_threads() == 0 {
+                return mismatch(format!("placement of '{}' has no threads", workload.name));
             }
-            workload.demand.route(&shape, &table, ctx, &mut routes);
-            route_start.push(routes.len());
+            if let Some(ctx) = placement.contexts().iter().find(|ctx| ctx.0 >= contexts) {
+                return mismatch(format!(
+                    "placement of '{}' uses context {} but the machine has {contexts}",
+                    workload.name, ctx.0
+                ));
+            }
         }
-        let n = placement.n_threads();
-        let amdahl = amdahl_speedup(workload.parallel_fraction, n);
-        job_ctx.push(JobCtx {
-            l: workload.load_balance,
-            b: workload.burstiness,
-            os: workload.inter_socket_overhead,
-            amdahl,
-            f_initial: amdahl / n as f64,
-            threads: start..start + n,
-            classes: 0..0,
-        });
-    }
-    let route = |t: usize| &routes[route_start[t]..route_start[t + 1]];
-    let shares_core = |on_core: &[usize]| on_core.get(1).is_some_and(|&j| j != FREE);
 
-    // Effective capacities: the measured SMT co-schedule factor shrinks the
-    // issue capacity of cores hosting two or more threads (§3.2) — from
-    // any job.
-    let mut caps: Vec<f64> = table.resources().iter().map(|r| r.capacity).collect();
-    for (c, on_core) in tenants.chunks_exact(tpc).enumerate() {
-        if shares_core(on_core) {
-            let id = table.core_issue(pandia_topology::CoreId(c));
-            caps[id.0] *= machine.smt_coschedule_factor;
-        }
-    }
-
-    // One state per thread class (`Class`). A job's classes are
-    // contiguous, and `class_of[t]` is thread `t`'s.
-    let mut classes: Vec<Class> = Vec::with_capacity(threads);
-    let mut class_of: Vec<usize> = Vec::with_capacity(threads);
-    for (job, (_, placement)) in job_ctx.iter_mut().zip(jobs) {
-        let first = classes.len();
-        for (t, &ctx) in job.threads.clone().zip(placement.contexts()) {
-            let core = shape.core_of_ctx(ctx).0;
-            let socket = shape.socket_of_ctx(ctx).0;
-            let on_core = &tenants[core * tpc..][..tpc];
-            let same = |k: &Class| k.socket == socket && tenants[k.core * tpc..][..tpc] == *on_core;
-            let c = match classes[first..].iter().position(same) {
-                Some(i) => first + i,
-                None => {
-                    classes.push(Class {
-                        first: t,
-                        core,
-                        socket,
-                        shares_core: shares_core(on_core),
-                        f: job.f_initial,
-                        s_res: 1.0,
-                        s: 1.0,
-                        comm: 0.0,
-                        lb: 0.0,
-                        term: 0.0,
-                        worst: None,
-                    });
-                    classes.len() - 1
+        // Flatten all jobs' threads, job-major. Thread `t`'s route is
+        // `routes[route_start[t]..route_start[t + 1]]`: at most five core and
+        // L3 entries, a DRAM channel per memory node and a link per remote
+        // one. Sized up front: grown by reallocation, the flat buffer made
+        // small joint predictions up to 20% slower once the heap had aged.
+        // `tenants` holds one slot per context, `tpc` per core: the jobs of
+        // a core's threads in thread order, and so ascending, then `FREE`.
+        let tpc = shape.threads_per_core;
+        let mut job_ctx: Vec<JobCtx> = Vec::with_capacity(jobs.len());
+        let mut routes: Vec<(ResourceId, f64)> =
+            Vec::with_capacity(threads * (4 + 2 * shape.sockets));
+        let mut route_start = Vec::with_capacity(threads + 1);
+        route_start.push(0);
+        let mut used_ctx = vec![false; contexts];
+        let mut tenants = vec![FREE; contexts];
+        for (j, (workload, placement)) in jobs.iter().enumerate() {
+            let start = route_start.len() - 1;
+            for &ctx in placement.contexts() {
+                if used_ctx[ctx.0] {
+                    return mismatch(format!(
+                        "co-scheduled placements overlap at context {}",
+                        ctx.0
+                    ));
                 }
-            };
-            class_of.push(c);
+                used_ctx[ctx.0] = true;
+                let core = shape.core_of_ctx(ctx).0;
+                // Each of the core's `tpc` contexts hosts one thread at most,
+                // so a slot is free.
+                if let Some(slot) = tenants[core * tpc..][..tpc].iter_mut().find(|s| **s == FREE) {
+                    *slot = j;
+                }
+                workload.demand.route(&shape, table, ctx, &mut routes);
+                route_start.push(routes.len());
+            }
+            let n = placement.n_threads();
+            let amdahl = amdahl_speedup(workload.parallel_fraction, n);
+            job_ctx.push(JobCtx {
+                l: workload.load_balance,
+                b: workload.burstiness,
+                os: workload.inter_socket_overhead,
+                amdahl,
+                f_initial: amdahl / n as f64,
+                threads: start..start + n,
+                classes: 0..0,
+            });
         }
-        job.classes = first..classes.len();
-    }
+        let route = |t: usize| &routes[route_start[t]..route_start[t + 1]];
+        let shares_core = |on_core: &[usize]| on_core.get(1).is_some_and(|&j| j != FREE);
 
-    let mut loads = vec![0.0_f64; table.len()];
-    let mut penalty = vec![None; shape.sockets];
-    let mut s_cap = f64::INFINITY;
-    let mut iterations = 0;
-
-    for iter in 0..config.max_iterations {
-        iterations = iter + 1;
-
-        // Stage 1: resource contention (§5.1) over the *combined* loads,
-        // which every thread adds to, in thread order.
-        loads.fill(0.0);
-        for (t, &c) in class_of.iter().enumerate() {
-            let f = classes[c].f;
-            for &(r, d) in route(t) {
-                loads[r.0] += d * f;
+        // Effective capacities: the measured SMT co-schedule factor shrinks the
+        // issue capacity of cores hosting two or more threads (§3.2) — from
+        // any job.
+        let mut caps: Vec<f64> = table.resources().iter().map(|r| r.capacity).collect();
+        for (c, on_core) in tenants.chunks_exact(tpc).enumerate() {
+            if shares_core(on_core) {
+                let id = table.core_issue(pandia_topology::CoreId(c));
+                caps[id.0] *= machine.smt_coschedule_factor;
             }
         }
-        for job in &job_ctx {
-            for class in &mut classes[job.classes.clone()] {
-                // A route lists only positive demands.
-                let mut worst = 1.0_f64;
-                class.worst = None;
-                for (at, &(r, _)) in route(class.first).iter().enumerate() {
-                    let over = loads[r.0] / caps[r.0];
-                    if over > worst {
-                        worst = over;
-                        class.worst = Some(at);
+
+        // One state per thread class (`Class`). A job's classes are
+        // contiguous, and `class_of[t]` is thread `t`'s.
+        let mut classes: Vec<Class> = Vec::with_capacity(threads);
+        let mut class_of: Vec<usize> = Vec::with_capacity(threads);
+        for (job, (_, placement)) in job_ctx.iter_mut().zip(jobs) {
+            let first = classes.len();
+            for (t, &ctx) in job.threads.clone().zip(placement.contexts()) {
+                let core = shape.core_of_ctx(ctx).0;
+                let socket = shape.socket_of_ctx(ctx).0;
+                let on_core = &tenants[core * tpc..][..tpc];
+                let same =
+                    |k: &Class| k.socket == socket && tenants[k.core * tpc..][..tpc] == *on_core;
+                let c = match classes[first..].iter().position(same) {
+                    Some(i) => first + i,
+                    None => {
+                        classes.push(Class {
+                            first: t,
+                            core,
+                            socket,
+                            shares_core: shares_core(on_core),
+                            f: job.f_initial,
+                            s_res: 1.0,
+                            s: 1.0,
+                            comm: 0.0,
+                            lb: 0.0,
+                            term: 0.0,
+                            worst: None,
+                        });
+                        classes.len() - 1
                     }
+                };
+                class_of.push(c);
+            }
+            job.classes = first..classes.len();
+        }
+
+        let mut loads = vec![0.0_f64; table.len()];
+        let mut penalty = vec![None; shape.sockets];
+        let mut s_cap = f64::INFINITY;
+        let mut iterations = 0;
+
+        for iter in 0..config.max_iterations {
+            iterations = iter + 1;
+
+            // Stage 1: resource contention (§5.1) over the *combined* loads,
+            // which every thread adds to, in thread order.
+            loads.fill(0.0);
+            for (t, &c) in class_of.iter().enumerate() {
+                let f = classes[c].f;
+                for &(r, d) in route(t) {
+                    loads[r.0] += d * f;
                 }
-                let mut sr = worst;
-                if class.shares_core {
-                    sr *= 1.0 + job.b * class.f;
+            }
+            for job in &job_ctx {
+                for class in &mut classes[job.classes.clone()] {
+                    // A route lists only positive demands.
+                    let mut worst = 1.0_f64;
+                    class.worst = None;
+                    for (at, &(r, _)) in route(class.first).iter().enumerate() {
+                        let over = loads[r.0] / caps[r.0];
+                        if over > worst {
+                            worst = over;
+                            class.worst = Some(at);
+                        }
+                    }
+                    let mut sr = worst;
+                    if class.shares_core {
+                        sr *= 1.0 + job.b * class.f;
+                    }
+                    class.s_res = sr.clamp(1.0, s_cap);
+                    class.s = class.s_res;
                 }
-                class.s_res = sr.clamp(1.0, s_cap);
-                class.s = class.s_res;
             }
-        }
 
-        // Stage 2: inter-socket communication (§5.2), within each job. A
-        // job without the stage adds 0.0, which leaves `s` as stage 1 set
-        // it.
-        for job in &job_ctx {
-            communication(job, &class_of, &mut classes, &mut penalty);
-            for class in &mut classes[job.classes.clone()] {
-                class.s = (class.s + class.comm).clamp(1.0, s_cap);
-            }
-        }
-
-        // Stage 3: load-balance penalty (§5.3), within each job.
-        for job in &job_ctx {
-            let own = &mut classes[job.classes.clone()];
-            let s_max = own.iter().map(|c| c.s).fold(1.0_f64, f64::max);
-            for class in own {
-                let dragged = job.l * class.s + (1.0 - job.l) * s_max;
-                class.lb = dragged - class.s;
-                class.s = dragged.clamp(1.0, s_cap);
-            }
-        }
-
-        // Bound subsequent iterations by the first iteration's worst
-        // slowdown (§5.4).
-        if iter == 0 {
-            s_cap = classes.iter().map(|c| c.s).fold(1.0_f64, f64::max);
-        }
-
-        // Feedback into the next iteration (§5.4).
-        let dampen = iter + 1 >= config.dampen_after;
-        let mut delta = 0.0_f64;
-        for job in &job_ctx {
-            for class in &mut classes[job.classes.clone()] {
-                let mut next = job.f_initial * (class.s_res / class.s);
-                if dampen {
-                    next = 0.5 * (next + class.f);
+            // Stage 2: inter-socket communication (§5.2), within each job. A
+            // job without the stage adds 0.0, which leaves `s` as stage 1 set
+            // it.
+            for job in &job_ctx {
+                communication(job, &class_of, &mut classes, &mut penalty);
+                for class in &mut classes[job.classes.clone()] {
+                    class.s = (class.s + class.comm).clamp(1.0, s_cap);
                 }
-                delta = delta.max((next - class.f).abs());
-                class.f = next;
+            }
+
+            // Stage 3: load-balance penalty (§5.3), within each job.
+            for job in &job_ctx {
+                let own = &mut classes[job.classes.clone()];
+                let s_max = own.iter().map(|c| c.s).fold(1.0_f64, f64::max);
+                for class in own {
+                    let dragged = job.l * class.s + (1.0 - job.l) * s_max;
+                    class.lb = dragged - class.s;
+                    class.s = dragged.clamp(1.0, s_cap);
+                }
+            }
+
+            // Bound subsequent iterations by the first iteration's worst
+            // slowdown (§5.4).
+            if iter == 0 {
+                s_cap = classes.iter().map(|c| c.s).fold(1.0_f64, f64::max);
+            }
+
+            // Feedback into the next iteration (§5.4).
+            let dampen = iter + 1 >= config.dampen_after;
+            let mut delta = 0.0_f64;
+            for job in &job_ctx {
+                for class in &mut classes[job.classes.clone()] {
+                    let mut next = job.f_initial * (class.s_res / class.s);
+                    if dampen {
+                        next = 0.5 * (next + class.f);
+                    }
+                    delta = delta.max((next - class.f).abs());
+                    class.f = next;
+                }
+            }
+            if delta < config.tolerance {
+                break;
             }
         }
-        if delta < config.tolerance {
-            break;
+
+        let mut results = Vec::with_capacity(jobs.len());
+        for (job, (workload, placement)) in job_ctx.iter().zip(jobs) {
+            let members = &class_of[job.threads.clone()];
+            let harmonic: f64 =
+                members.iter().map(|&c| 1.0 / classes[c].s).sum::<f64>() / members.len() as f64;
+            let speedup = job.amdahl * harmonic;
+            let threads = job
+                .threads
+                .clone()
+                .zip(members)
+                .map(|(t, &c)| {
+                    let class = &classes[c];
+                    ThreadPrediction {
+                        resource_slowdown: class.s_res,
+                        communication_penalty: class.comm,
+                        load_balance_penalty: class.lb,
+                        slowdown: class.s,
+                        utilization: job.f_initial / class.s,
+                        // The thread's own resource at its class's position.
+                        bottleneck: class.worst.map(|at| table.get(route(t)[at].0).kind),
+                    }
+                })
+                .collect();
+            results.push(Prediction {
+                n_threads: placement.n_threads(),
+                amdahl_speedup: job.amdahl,
+                speedup,
+                predicted_time: workload.t1 / speedup,
+                threads,
+                resource_loads: loads.clone(),
+                iterations,
+            });
         }
+        Ok(results)
     }
-
-    let mut results = Vec::with_capacity(jobs.len());
-    for (job, (workload, placement)) in job_ctx.iter().zip(jobs) {
-        let members = &class_of[job.threads.clone()];
-        let harmonic: f64 =
-            members.iter().map(|&c| 1.0 / classes[c].s).sum::<f64>() / members.len() as f64;
-        let speedup = job.amdahl * harmonic;
-        let threads = job
-            .threads
-            .clone()
-            .zip(members)
-            .map(|(t, &c)| {
-                let class = &classes[c];
-                ThreadPrediction {
-                    resource_slowdown: class.s_res,
-                    communication_penalty: class.comm,
-                    load_balance_penalty: class.lb,
-                    slowdown: class.s,
-                    utilization: job.f_initial / class.s,
-                    // The thread's own resource at its class's position.
-                    bottleneck: class.worst.map(|at| table.get(route(t)[at].0).kind),
-                }
-            })
-            .collect();
-        results.push(Prediction {
-            n_threads: placement.n_threads(),
-            amdahl_speedup: job.amdahl,
-            speedup,
-            predicted_time: workload.t1 / speedup,
-            threads,
-            resource_loads: loads.clone(),
-            iterations,
-        });
-    }
-    Ok(results)
 }
 
 /// A free slot of `predict_jobs`'s per-core tenant lists.

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::{
     description::MachineDescription,
     error::PandiaError,
-    predictor::{predict, Prediction, PredictorConfig},
+    predictor::{Prediction, Predictor, PredictorConfig},
     workload_desc::WorkloadDescription,
 };
 
@@ -576,10 +576,11 @@ impl<'m> WorkloadProfiler<'m> {
         initial: impl Fn(f64, f64) -> f64,
     ) -> Result<f64, PandiaError> {
         let SolveTarget { placement, measured_rel, what } = target;
+        let predictor = Predictor::new(self.machine);
         let predict_with = |v: f64| -> Result<(Prediction, f64), PandiaError> {
             let mut d = desc.clone();
             set(&mut d, v);
-            let pred = predict(self.machine, &d, placement, &self.config.predictor)?;
+            let pred = predictor.predict(&d, placement, &self.config.predictor)?;
             let rel = pred.relative_time(d.t1);
             Ok((pred, rel))
         };

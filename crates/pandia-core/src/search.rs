@@ -14,7 +14,7 @@ use crate::{
     description::MachineDescription,
     error::PandiaError,
     exec::{ExecContext, PredictSession},
-    predictor::PredictorConfig,
+    predictor::{Estimate, PredictorConfig},
     workload_desc::WorkloadDescription,
 };
 
@@ -57,52 +57,16 @@ impl PlacementReport {
     }
 }
 
-/// What a search reads from one candidate's prediction.
-#[derive(Clone, Copy)]
-struct Score {
-    n_threads: usize,
-    speedup: f64,
-    predicted_time: f64,
-}
-
-impl Score {
-    fn outcome(self, placement: &CanonicalPlacement) -> PlacementOutcome {
-        PlacementOutcome {
-            placement: placement.clone(),
-            n_threads: self.n_threads,
-            speedup: self.speedup,
-            predicted_time: self.predicted_time,
-        }
-    }
+/// One candidate's outcome from its estimate.
+fn outcome(estimate: Estimate, placement: &CanonicalPlacement) -> PlacementOutcome {
+    let Estimate { n_threads, speedup, predicted_time } = estimate;
+    PlacementOutcome { placement: placement.clone(), n_threads, speedup, predicted_time }
 }
 
 /// The index of the highest speedup: the last of equal maxima, as
 /// [`PlacementReport::best`] picks.
-fn best_index(scores: &[Score]) -> Option<usize> {
-    (0..scores.len()).max_by(|&a, &b| scores[a].speedup.total_cmp(&scores[b].speedup))
-}
-
-/// Predicts every candidate through one [`PredictSession::predict_batch`]:
-/// hits are read in place from the context's cache, misses are fanned
-/// across its workers, and each prediction's [`Score`] is read where it
-/// is.
-///
-/// The scores are bit-identical regardless of the worker count: they
-/// keep the input order, and each prediction is a pure function of the
-/// sweep inputs.
-fn score_candidates(
-    exec: &ExecContext,
-    machine: &MachineDescription,
-    workload: &WorkloadDescription,
-    candidates: &[CanonicalPlacement],
-    config: &PredictorConfig,
-) -> Result<Vec<Score>, PandiaError> {
-    let session = PredictSession::new(exec, machine, workload, config)?;
-    session.predict_batch(candidates, |p| Score {
-        n_threads: p.n_threads,
-        speedup: p.speedup,
-        predicted_time: p.predicted_time,
-    })
+fn best_index(estimates: &[Estimate]) -> Option<usize> {
+    (0..estimates.len()).max_by(|&a, &b| estimates[a].speedup.total_cmp(&estimates[b].speedup))
 }
 
 /// Evaluates the predictor over a set of candidate placements.
@@ -135,8 +99,9 @@ pub fn placement_report_with(
     let _span = pandia_obs::span("search", "placement_report")
         .arg("workload", workload.name.as_str())
         .arg("candidates", candidates.len());
-    let scores = score_candidates(exec, machine, workload, candidates, config)?;
-    let outcomes = scores.iter().zip(candidates).map(|(s, c)| s.outcome(c)).collect();
+    let session = PredictSession::new(exec, machine, workload, config)?;
+    let estimates = session.predict_batch(candidates)?;
+    let outcomes = estimates.iter().zip(candidates).map(|(&e, c)| outcome(e, c)).collect();
     Ok(PlacementReport { outcomes })
 }
 
@@ -161,11 +126,12 @@ pub fn best_placement_with(
     let _span = pandia_obs::span("search", "best_placement")
         .arg("workload", workload.name.as_str())
         .arg("candidates", candidates.len());
-    let scores = score_candidates(exec, machine, workload, candidates, config)?;
-    let best = best_index(&scores).ok_or(PandiaError::Mismatch {
+    let session = PredictSession::new(exec, machine, workload, config)?;
+    let estimates = session.predict_batch(candidates)?;
+    let best = best_index(&estimates).ok_or(PandiaError::Mismatch {
         reason: "no candidate placements supplied".into(),
     })?;
-    Ok(scores[best].outcome(&candidates[best]))
+    Ok(outcome(estimates[best], &candidates[best]))
 }
 
 /// High-level recommendations derived from a placement report (§1's
@@ -209,20 +175,21 @@ impl Recommendation {
         let _span = pandia_obs::span("search", "analyze")
             .arg("workload", workload.name.as_str())
             .arg("candidates", candidates.len());
-        let scores = score_candidates(exec, machine, workload, candidates, config)?;
-        let best = best_index(&scores)
+        let session = PredictSession::new(exec, machine, workload, config)?;
+        let estimates = session.predict_batch(candidates)?;
+        let best = best_index(&estimates)
             .ok_or(PandiaError::Mismatch { reason: "no candidate placements".into() })?;
         // The smallest placement within tolerance: the first of equal
         // minima, as `PlacementReport::resource_saving` picks.
-        let floor = tolerance * scores[best].speedup;
-        let saving = (0..scores.len())
-            .filter(|&i| scores[i].speedup >= floor)
-            .min_by_key(|&i| (scores[i].n_threads, candidates[i].cores_used()));
-        let best = scores[best].outcome(&candidates[best]);
+        let floor = tolerance * estimates[best].speedup;
+        let saving = (0..estimates.len())
+            .filter(|&i| estimates[i].speedup >= floor)
+            .min_by_key(|&i| (estimates[i].n_threads, candidates[i].cores_used()));
+        let best = outcome(estimates[best], &candidates[best]);
         let use_multiple_sockets = best.placement.sockets_used() > 1;
         let use_smt =
             best.placement.sockets.iter().flat_map(|s| s.iter()).any(|&occ| occ >= 2);
-        let resource_saving = saving.map(|i| scores[i].outcome(&candidates[i]));
+        let resource_saving = saving.map(|i| outcome(estimates[i], &candidates[i]));
         Ok(Self { best, use_multiple_sockets, use_smt, resource_saving, tolerance })
     }
 }

@@ -188,7 +188,7 @@ pub fn run(
                         |canon| canon.total_threads() as f64,
                         |canon| -> Result<f64, PandiaError> {
                             let placement = canon.instantiate(&shape)?;
-                            session.predict_with(&placement, |p| p.predicted_time)
+                            Ok(session.predict(&placement)?.predicted_time)
                         },
                     );
                     let mut errors = Vec::with_capacity(predictions.len());

@@ -143,7 +143,7 @@ fn measure_on(
             let measured = platform
                 .run(&RunRequest::new(workload.behavior.clone(), placement.clone()))?
                 .elapsed;
-            let predicted = session.predict_with(&placement, |p| p.predicted_time)?;
+            let predicted = session.predict(&placement)?.predicted_time;
             Ok(CurvePoint {
                 placement: canon.clone(),
                 n_threads: placement.n_threads(),

@@ -113,7 +113,7 @@ pub fn measure_curve_with(
             let mut platform = ctx.platform.clone();
             let measured =
                 platform.run(&RunRequest::new(behavior.clone(), placement.clone()))?.elapsed;
-            let predicted = session.predict_with(&placement, |p| p.predicted_time)?;
+            let predicted = session.predict(&placement)?.predicted_time;
             Ok(CurvePoint {
                 placement: canon.clone(),
                 n_threads: placement.n_threads(),

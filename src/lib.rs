@@ -62,7 +62,7 @@ pub mod prelude {
     pub use pandia_core::{
         best_placement, best_placement_with, describe_machine, placement_report,
         placement_report_with, predict, predict_jobs, CacheStats, CoSchedule, CoScheduler,
-        ExecContext, FleetAssignment, FleetSchedule, FleetScheduler, FleetStats,
+        Estimate, ExecContext, FleetAssignment, FleetSchedule, FleetScheduler, FleetStats,
         IncrementalFleet, MachineDescription,
         MachineDescriptionGenerator, Objective, OnlineConfig, OnlineController, OnlineReport,
         PandiaError, PlacementOutcome, PlacementReport, PredictSession, Prediction,

@@ -374,10 +374,11 @@ fn recommendation_is_identical_across_jobs_and_cache() {
 }
 
 /// `PredictSession::predict_batch` against the per-candidate
-/// `predict_with` loop the placement search ran before it: on
-/// duplicate-free candidate lists the batch returns the loop's bits and
-/// leaves equal cache counts (hits, misses, entries, evictions), cold,
-/// warm and with the cache off, at one worker and at four.
+/// `predict` loop the placement search ran before it: on duplicate-free
+/// candidate lists the batch returns the loop's bits and leaves equal
+/// cache counts (hits, misses, entries, evictions), cold, warm and with
+/// the cache off, at one worker and at four. Both carry the bits of an
+/// uncached `predict`'s three fields, hit or miss.
 ///
 /// Beyond that only counts can differ, never a value, because the cache
 /// only short-circuits identical inputs. The batch reads every hit before
@@ -395,14 +396,20 @@ fn batch_prediction_matches_the_per_candidate_loop() {
     let mut rng = Rng::new(9100);
     let workloads: Vec<WorkloadDescription> =
         (0..2).map(|_| random_description(&mut rng, &ctx.description)).collect();
-    // `{:?}` prints every f64 round-trip exactly, so equal text is equal bits.
-    let bits = |p: &Prediction| format!("{p:?}");
+    let bits = |e: &Estimate| (e.n_threads, e.speedup.to_bits(), e.predicted_time.to_bits());
     for (name, candidates) in &lists {
         let mut distinct = candidates.clone();
         distinct.sort();
         distinct.dedup();
         assert_eq!(distinct.len(), candidates.len(), "{name} repeats a candidate");
         for (w, wd) in workloads.iter().enumerate() {
+            let uncached: Vec<_> = candidates
+                .iter()
+                .map(|c| {
+                    let placement = c.instantiate(&ctx.description).unwrap();
+                    bits(&predict(&ctx.description, wd, &placement, &config).unwrap().estimate())
+                })
+                .collect();
             for jobs in [1, 4] {
                 for cached in [true, false] {
                     let looped_exec = ExecContext::new(jobs).with_cache(cached);
@@ -412,22 +419,24 @@ fn batch_prediction_matches_the_per_candidate_loop() {
                     let batch_session =
                         PredictSession::new(&batch_exec, &ctx.description, wd, &config).unwrap();
                     for pass in ["cold", "warm"] {
-                        let looped: Vec<String> = looped_exec
+                        let looped: Vec<_> = looped_exec
                             .parallel_map_sized(
                                 candidates,
                                 |c| c.total_threads() as f64,
                                 |c| {
                                     let placement = c.instantiate(&ctx.description)?;
-                                    looped_session.predict_with(&placement, bits)
+                                    Ok(bits(&looped_session.predict(&placement)?))
                                 },
                             )
                             .into_iter()
                             .collect::<Result<_, PandiaError>>()
                             .unwrap();
-                        let batched = batch_session.predict_batch(candidates, bits).unwrap();
+                        let batched: Vec<_> =
+                            batch_session.predict_batch(candidates).unwrap().iter().map(bits).collect();
                         let case =
                             format!("{name}, workload {w}, jobs={jobs}, cache {cached}, {pass}");
                         assert!(batched == looped, "{case}: answers differ");
+                        assert!(batched == uncached, "{case}: answers differ from uncached predict");
                         assert_eq!(batch_exec.cache_stats(), looped_exec.cache_stats(), "{case}");
                     }
                 }
