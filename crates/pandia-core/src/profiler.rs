@@ -31,19 +31,25 @@ use crate::{
     workload_desc::WorkloadDescription,
 };
 
+/// Maximum fraction of any shared resource's capacity run 2 may
+/// subscribe ("sufficiently low to avoid over-subscribing any resources",
+/// §4.2).
+const HEADROOM: f64 = 0.9;
+
+/// Bisection iterations for the `os`/`b` refinement.
+const SOLVER_ITERATIONS: usize = 40;
+
+/// Repeats farther than this many normal-scaled MADs from the median are
+/// rejected under `RobustnessPolicy::robust_aggregation`.
+const MAD_THRESHOLD: f64 = 3.5;
+
 /// Configuration of the profiling procedure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileConfig {
     /// Base seed for the profiling runs.
     pub seed: u64,
-    /// Maximum fraction of any shared resource's capacity run 2 may
-    /// subscribe ("sufficiently low to avoid over-subscribing any
-    /// resources", §4.2).
-    pub headroom: f64,
     /// Predictor settings used when solving for `os` and `b`.
     pub predictor: PredictorConfig,
-    /// Bisection iterations for the `os`/`b` refinement.
-    pub solver_iterations: usize,
     /// Number of repetitions of each profiling run; times are averaged to
     /// suppress measurement noise (steps 3-5 solve for parameters from
     /// small differences between runs).
@@ -58,9 +64,7 @@ impl Default for ProfileConfig {
     fn default() -> Self {
         Self {
             seed: 0x6A11,
-            headroom: 0.9,
             predictor: PredictorConfig::default(),
-            solver_iterations: 40,
             repeats: 3,
             robustness: RobustnessPolicy::default(),
         }
@@ -76,13 +80,11 @@ pub struct RobustnessPolicy {
     /// repeat's seed — and immediate: no wall-clock backoff, because the
     /// platform's fault schedule is a function of the seed, not of time.
     pub max_attempts: usize,
-    /// Aggregate repeats with median + MAD outlier rejection instead of
-    /// the bare mean, and repair counters by channel-wise medians across
-    /// repeats (a channel zeroed by dropout in one repeat is outvoted).
+    /// Aggregate repeats with median + MAD outlier rejection (at 3.5
+    /// normal-scaled MADs) instead of the bare mean, and repair counters by
+    /// channel-wise medians across repeats (a channel zeroed by dropout in
+    /// one repeat is outvoted).
     pub robust_aggregation: bool,
-    /// Repeats farther than this many normal-scaled MADs from the median
-    /// are rejected (only with `robust_aggregation`).
-    pub mad_threshold: f64,
     /// When the `os`/`b` bracket search diverges or the solved value is
     /// non-finite, degrade to the clamped closed-form estimate instead of
     /// propagating a runaway parameter.
@@ -101,7 +103,6 @@ impl RobustnessPolicy {
         Self {
             max_attempts: 1,
             robust_aggregation: false,
-            mad_threshold: 3.5,
             clamp_fallback: false,
         }
     }
@@ -112,7 +113,6 @@ impl RobustnessPolicy {
         Self {
             max_attempts: 4,
             robust_aggregation: true,
-            mad_threshold: 3.5,
             clamp_fallback: true,
         }
     }
@@ -459,7 +459,7 @@ impl<'m> WorkloadProfiler<'m> {
         }
         let kept: Vec<usize> = if policy.robust_aggregation && samples.len() >= 3 {
             let times: Vec<f64> = samples.iter().map(|(t, _)| *t).collect();
-            mad_inliers(&times, policy.mad_threshold)
+            mad_inliers(&times, MAD_THRESHOLD)
         } else {
             (0..samples.len()).collect()
         };
@@ -482,22 +482,21 @@ impl<'m> WorkloadProfiler<'m> {
 
     /// Chooses the run-2 thread count: the largest even number of threads,
     /// one per core on a single socket, that keeps every shared resource
-    /// under the headroom given the run-1 demands (§4.2).
+    /// under `HEADROOM` given the run-1 demands (§4.2).
     fn choose_n2(&self, desc: &WorkloadDescription) -> usize {
         let shape = self.machine.shape();
         let caps = &self.machine.capacities;
-        let headroom = self.config.headroom;
         let mut n = shape.cores_per_socket;
         if n % 2 == 1 {
             n -= 1;
         }
         let fits = |n: usize| -> bool {
             let nf = n as f64;
-            if desc.demand.l3 * nf > headroom * caps.l3_aggregate {
+            if desc.demand.l3 * nf > HEADROOM * caps.l3_aggregate {
                 return false;
             }
             for &node_demand in &desc.demand.dram {
-                if node_demand * nf > headroom * caps.dram_per_socket {
+                if node_demand * nf > HEADROOM * caps.dram_per_socket {
                     return false;
                 }
             }
@@ -505,7 +504,7 @@ impl<'m> WorkloadProfiler<'m> {
             // crosses one link per remote node.
             if shape.sockets >= 2 {
                 for (node, &node_demand) in desc.demand.dram.iter().enumerate() {
-                    if node != 0 && node_demand * nf > headroom * caps.interconnect_per_link {
+                    if node != 0 && node_demand * nf > HEADROOM * caps.interconnect_per_link {
                         return false;
                     }
                 }
@@ -620,7 +619,7 @@ impl<'m> WorkloadProfiler<'m> {
             return Ok(fallback(audit, "bracket search diverged"));
         }
         let mut lo = 0.0;
-        for _ in 0..self.config.solver_iterations {
+        for _ in 0..SOLVER_ITERATIONS {
             let mid = 0.5 * (lo + hi);
             if rel_with(mid)? < measured_rel {
                 lo = mid;
