@@ -225,6 +225,7 @@ impl Behavior {
             (self.demand.dram, "dram"),
             (self.working_set_mib, "working set"),
             (self.comm_factor, "comm factor"),
+            (self.intra_socket_comm, "intra-socket comm"),
             (self.growth_per_thread, "growth"),
         ] {
             if v < 0.0 || !v.is_finite() {
@@ -309,6 +310,24 @@ mod tests {
         b.demand.dram = 0.0;
         b.total_work = 0.0;
         assert!(b.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_bad_communication_inputs() {
+        // The engine multiplies `intra_socket_comm` into every same-socket
+        // communication term, so a NaN would poison each of them.
+        for bad in [-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = Behavior::compute("x", 10.0, 1.0);
+            b.intra_socket_comm = bad;
+            let err = b.validate().expect_err("a bad intra-socket comm must be rejected");
+            assert!(err.contains("intra-socket comm"), "{bad}: {err}");
+            b.intra_socket_comm = 0.0;
+            b.comm_factor = bad;
+            assert!(b.validate().is_err(), "comm factor {bad} must be rejected");
+        }
+        let mut b = Behavior::compute("x", 10.0, 1.0);
+        (b.comm_factor, b.intra_socket_comm) = (0.02, 0.0);
+        assert!(b.validate().is_ok());
     }
 
     #[test]

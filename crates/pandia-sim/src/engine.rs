@@ -27,7 +27,7 @@ use pandia_topology::{
 };
 
 use crate::{
-    behavior::Behavior,
+    behavior::{Behavior, BurstProfile},
     cache::spill_fraction,
     dvfs::DvfsState,
     equilibrium,
@@ -771,21 +771,8 @@ impl Middles {
 struct Phases {
     /// Whether the run is traced, so the output names the hottest resource.
     traced: bool,
-    // Burst-profile constants: the draw offset depends only on (seed,
-    // entity), and a profile's duty plus high/low multipliers are fixed
-    // for the run. `low_multiplier` divides, so evaluating it per segment
-    // per entity was the single most repeated piece of arithmetic in the
-    // engine.
-    burst_off: Vec<f64>,
-    burst_duty: Vec<f64>,
-    burst_amp: Vec<f64>,
-    burst_lo: Vec<f64>,
-    /// Per-entity high-phase multiplier bits. `BurstProfile::multiplier`
-    /// is two-valued per entity (the high value inside the duty window,
-    /// the low value outside; smooth profiles collapse both to one), so a
-    /// segment's multipliers compress to one bit per runnable entity —
-    /// set ⇔ bitwise equal to the high value.
-    burst_hi: Vec<u64>,
+    /// Each entity's burst draw, tabulated once per run.
+    bursts: Vec<Burst>,
     /// This segment's burst multiplier per runnable entity.
     multipliers: Vec<f64>,
     /// This segment's phase bit per runnable entity: its multiplier is
@@ -804,7 +791,10 @@ struct Phases {
     layouts: u64,
     solver: equilibrium::IncrementalSolver,
     interference: Vec<f64>,
-    /// This round's communication term per layout slot.
+    /// One (group, socket)'s communication term per group member.
+    terms: Vec<f64>,
+    /// This round's communication term per runnable: 0.0 for stressors
+    /// and for workers of groups that do not communicate.
     comm: Vec<f64>,
     /// Lock utilisation per group, then its queueing delay `ρ / (1 - ρ)`.
     queue_delay: Vec<f64>,
@@ -832,17 +822,80 @@ struct Layout {
     /// The runnable indices of each core with two or more of them,
     /// ascending (SMT interference).
     smt_members: Vec<Vec<usize>>,
-    /// Same-group worker runnable indices, ascending (communication).
-    group_members: Vec<Vec<usize>>,
-    /// The communication layout: each communicating group's runnable
-    /// workers by socket, ascending within a socket. `comm_start` holds
-    /// the slot bounds of every (group, socket) run, group-major, and
-    /// `comm_slot` each runnable's slot (`usize::MAX` outside the layout).
-    comm_start: Vec<usize>,
-    comm_slot: Vec<usize>,
-    /// The demand structure, and each entry's low- and high-phase value.
+    comm: CommLayout,
+    /// The demand structure, and each entry's low- and high-phase value
+    /// in the structure's slot order.
     demands: equilibrium::Demands,
     phase_values: Vec<[f64; 2]>,
+}
+
+/// The communication layout of a runnable set: each communicating group's
+/// workers by socket, ascending within a socket, so that `communication`
+/// sums one (group, socket)'s observers over one contiguous run of slots.
+#[derive(Default)]
+struct CommLayout {
+    /// Each group's runnable workers and their sockets, ascending.
+    members: Vec<Vec<(usize, usize)>>,
+    /// The slot bounds of every (group, socket) run, group-major.
+    start: Vec<usize>,
+    /// Each slot's position in its group's member list.
+    position: Vec<usize>,
+}
+
+impl CommLayout {
+    fn new(run: &RunState<'_>, comm_lat: &[Option<(f64, f64)>]) -> Self {
+        let (entities, runnable, sockets) = (&run.entities, &run.runnable, run.inputs.spec.sockets);
+        let mut members = vec![Vec::new(); run.groups.len()];
+        for (k, &i) in runnable.iter().enumerate() {
+            if entities[i].is_worker() {
+                members[entities[i].group].push((k, entities[i].socket.0));
+            }
+        }
+        let (mut start, mut position) = (vec![0], Vec::new());
+        for (group, lat) in members.iter().zip(comm_lat) {
+            for s in 0..sockets {
+                if lat.is_some() {
+                    position.extend((0..group.len()).filter(|&m| group[m].1 == s));
+                }
+                start.push(position.len());
+            }
+        }
+        Self { members, start, position }
+    }
+}
+
+/// An entity's burst draw, tabulated per run: the draw `(offset + segment
+/// · φ⁻¹).fract()` picks `multipliers[usize::from(draw < duty)]`, which is
+/// `BurstProfile::multiplier(draw)`, with one compare and no branch.
+#[derive(Clone, Copy)]
+struct Burst {
+    offset: f64,
+    /// The profile's duty, or 2.0, above every draw, for a smooth one.
+    duty: f64,
+    /// `[low_multiplier(), multiplier(0.0)]`: the low and the high phase.
+    multipliers: [f64; 2],
+    /// The phase bit of each: the multiplier is bitwise `multiplier(0.0)`.
+    high: [bool; 2],
+}
+
+impl Burst {
+    fn new(profile: &BurstProfile, seed: u64, entity: usize) -> Self {
+        let (low, high) = (profile.low_multiplier(), profile.multiplier(0.0));
+        Self {
+            offset: burst_offset(seed, entity),
+            duty: if profile.duty >= 1.0 { 2.0 } else { profile.duty },
+            multipliers: [low, high],
+            high: [low.to_bits() == high.to_bits(), true],
+        }
+    }
+
+    /// The phase index of a segment whose draw is offset by `seg_phase`.
+    /// `x - (x as i64) as f64` is `x.fract()` for `0 <= x < 2^63`, and
+    /// `x` stays below `MAX_SEGMENTS`; `fract` would call libm's `trunc`.
+    fn phase(&self, seg_phase: f64) -> usize {
+        let x = self.offset + seg_phase;
+        usize::from(x - ((x as i64) as f64) < self.duty)
+    }
 }
 
 impl Phases {
@@ -854,39 +907,30 @@ impl Phases {
             let cf_lat = |hop: f64| b.comm_factor * (hop * latency);
             (b.comm_factor > 0.0).then(|| (cf_lat(b.intra_socket_comm), cf_lat(1.0)))
         });
+        let burst = |(i, e): (usize, &Entity)| Burst::new(&e.behavior.burst, run.inputs.seed, i);
         Self {
             traced,
-            burst_off: (0..entities.len()).map(|i| burst_offset(run.inputs.seed, i)).collect(),
-            burst_duty: entities.iter().map(|e| e.behavior.burst.duty).collect(),
-            burst_amp: entities.iter().map(|e| e.behavior.burst.effective_amplitude()).collect(),
-            burst_lo: entities.iter().map(|e| e.behavior.burst.low_multiplier()).collect(),
-            burst_hi: entities.iter().map(|e| e.behavior.burst.multiplier(0.0).to_bits()).collect(),
+            bursts: entities.iter().enumerate().map(burst).collect(),
             comm_lat: comm_lat.collect(),
             base_caps: run.table.resources().iter().map(|r| r.capacity).collect(),
             ..Self::default()
         }
     }
 
-    /// Burst phase multipliers for this segment, shared by the memo key
-    /// and the demand values: `burst.multiplier(burst_draw(seed, i,
-    /// segment))` over the hoisted constants, so the per-segment draw is
-    /// one multiply-add, a `fract`, and a compare.
+    /// Burst phase multipliers and phase bits for this segment, shared by
+    /// the memo key and the demand values: `burst.multiplier(burst_draw(
+    /// seed, i, segment))` from the run's [`Burst`] table, so the draw is
+    /// one add, a truncation, one compare and two indexed loads.
     fn draw_multipliers(&mut self, run: &RunState<'_>) {
         let seg_phase = run.segment as f64 * PHI_CONJUGATE;
         self.multipliers.clear();
-        self.multipliers.extend(run.runnable.iter().map(|&i| {
-            if self.burst_duty[i] >= 1.0 {
-                1.0
-            } else if (self.burst_off[i] + seg_phase).fract() < self.burst_duty[i] {
-                self.burst_amp[i]
-            } else {
-                self.burst_lo[i]
-            }
-        }));
-        let (multipliers, burst_hi) = (&self.multipliers, &self.burst_hi);
-        let high = multipliers.iter().zip(&run.runnable).map(|(m, &i)| m.to_bits() == burst_hi[i]);
         self.high.clear();
-        self.high.extend(high);
+        for &i in &run.runnable {
+            let burst = &self.bursts[i];
+            let phase = burst.phase(seg_phase);
+            self.multipliers.push(burst.multipliers[phase]);
+            self.high.push(burst.high[phase]);
+        }
     }
 
     /// Builds this segment's memo key and returns its fingerprint. The key
@@ -987,16 +1031,26 @@ impl Phases {
             }
         }
 
-        // The demand structure: each runnable's entries in the spec's push
-        // order with their (burst- and spill-adjusted) values at the high
-        // and the low multiplier. An entry is kept when either value is
-        // positive; the other, if not positive, becomes 0.0, which the
-        // spec leaves out of that phase's bundle and the solver adds as
-        // +0.0.
+        let (entries, phase_values) = self.entries(run);
+        let l = &mut self.layout;
+        l.demands = equilibrium::Demands::compile(runnable.len(), &entries);
+        l.phase_values = l.demands.in_slot_order(&phase_values);
+        l.pool_caps = l.demands.pools().iter().map(|&r| l.capacities[r]).collect();
+        l.comm = CommLayout::new(run, &self.comm_lat);
+        self.comm.clear();
+        self.comm.resize(runnable.len(), 0.0);
+    }
+
+    /// The demand entries, `(runnable, pool)` in the spec's push order, and
+    /// their values at the low and the high multiplier. An entry is kept
+    /// when either value is positive; a value that is not becomes 0.0,
+    /// which the spec leaves out of its bundle and the solver adds as +0.0.
+    fn entries(&self, run: &RunState<'_>) -> (Vec<(usize, usize)>, Vec<[f64; 2]>) {
+        let (table, entities, spill) = (&run.table, &run.entities, &self.layout.spill_frac_socket);
         let (mut entries, mut phase_values) = (Vec::new(), Vec::new());
-        for (k, &i) in runnable.iter().enumerate() {
-            let (e, m_hi) = (&entities[i], f64::from_bits(self.burst_hi[i]));
-            let (d, m_lo) = (e.behavior.demand, self.burst_lo[i]);
+        for (k, &i) in run.runnable.iter().enumerate() {
+            let (e, [m_lo, m_hi]) = (&entities[i], self.bursts[i].multipliers);
+            let d = e.behavior.demand;
             let mut push = |pool: usize, (high, low): (f64, f64)| {
                 if high > 0.0 || low > 0.0 {
                     entries.push((k, pool));
@@ -1012,7 +1066,7 @@ impl Phases {
                 push(table.l3_link(e.core).0, scaled(d.l3));
                 push(table.l3_aggregate(e.socket).0, scaled(d.l3));
             }
-            let dram_total = scaled(d.dram + d.l3 * l.spill_frac_socket[e.socket.0]);
+            let dram_total = scaled(d.dram + d.l3 * spill[e.socket.0]);
             for (node, &frac) in e.dram_split.iter().enumerate().filter(|(_, &f)| f > 0.0) {
                 let share = |total: f64| if total > 0.0 { total * frac } else { 0.0 };
                 let amt = (share(dram_total.0), share(dram_total.1));
@@ -1025,34 +1079,7 @@ impl Phases {
                 push(table.len() + e.group, (e.behavior.seq_fraction, e.behavior.seq_fraction));
             }
         }
-        l.demands = equilibrium::Demands::compile(runnable.len(), &entries);
-        l.phase_values = phase_values;
-        l.pool_caps = l.demands.pools().iter().map(|&r| l.capacities[r]).collect();
-
-        // Communication layout: the same-group worker lists (each thread's
-        // peers, in ascending runnable order), and each communicating
-        // group's workers laid out by socket, so that `communication` adds
-        // a peer's term for one socket to one contiguous run of slots.
-        l.group_members = vec![Vec::new(); run.groups.len()];
-        for (k, &i) in runnable.iter().enumerate() {
-            if entities[i].is_worker() {
-                l.group_members[entities[i].group].push(k);
-            }
-        }
-        (l.comm_slot, l.comm_start) = (vec![usize::MAX; runnable.len()], vec![0]);
-        let mut slot = 0;
-        for (members, lat) in l.group_members.iter().zip(&self.comm_lat) {
-            for s in 0..spec.sockets {
-                if lat.is_some() {
-                    for &k in members.iter().filter(|&&k| entities[runnable[k]].socket.0 == s) {
-                        l.comm_slot[k] = slot;
-                        slot += 1;
-                    }
-                }
-                l.comm_start.push(slot);
-            }
-        }
-        self.comm.resize(slot, 0.0);
+        (entries, phase_values)
     }
 
     /// This segment's demand values and SMT interference. Each entry takes
@@ -1063,9 +1090,8 @@ impl Phases {
     /// paper's b, §2.3), summed over its core's members in ascending
     /// runnable order as the spec sums it.
     fn values(&mut self, run: &RunState<'_>) {
-        let (l, high) = (&mut self.layout, &self.high);
-        let phase_values = &l.phase_values;
-        l.demands.set_values(|entry, k| phase_values[entry][usize::from(high[k])]);
+        let l = &mut self.layout;
+        l.demands.set_values(&l.phase_values, &self.high);
         self.interference.clear();
         self.interference.resize(run.runnable.len(), 0.0);
         let collision = run.inputs.spec.smt_burst_collision;
@@ -1082,44 +1108,29 @@ impl Phases {
     /// `round_rates`: the spec's `comm += comm_factor · (hop · latency) ·
     /// weight` over same-group peers in ascending runnable order, where
     /// the weight divides the peer's rate by the observer's socket scale.
-    /// The sum runs peer-major: each peer's product for an observer
-    /// socket (one division per (peer, socket)) is added to every other
-    /// worker of that socket in one contiguous pass. Each thread still
-    /// adds the same products in the same order, so its sum has the
-    /// spec's bits, but the threads' sums no longer wait on one another.
+    /// Per (group, socket), each member's term for that socket's observers
+    /// is computed once, and [`block_sums`] sums the observers [`LANES`]
+    /// at a time, so each sum is the spec's, bit for bit.
     fn communication(&mut self, run: &RunState<'_>) {
-        let (entities, runnable, sockets) = (&run.entities, &run.runnable, run.inputs.spec.sockets);
-        let l = &self.layout;
-        self.comm.fill(0.0);
-        for (g, members) in l.group_members.iter().enumerate() {
+        let (sockets, l) = (run.inputs.spec.sockets, &self.layout);
+        for (g, members) in l.comm.members.iter().enumerate() {
             let Some((intra, cross)) = self.comm_lat[g] else { continue };
-            let runs = &l.comm_start[g * sockets..=(g + 1) * sockets];
-            for &k2 in members {
-                let (own, peer_socket) = (l.comm_slot[k2], entities[runnable[k2]].socket.0);
-                for s in 0..sockets {
-                    let sums = &mut self.comm[runs[s]..runs[s + 1]];
-                    if sums.is_empty() {
-                        continue;
-                    }
-                    let scale = l.dvfs.socket_scale[s];
-                    let weight = (self.round_rates[k2] / scale.max(1e-9)).min(1.0);
-                    if s == peer_socket {
-                        let term = intra * weight;
-                        let (before, after) = sums.split_at_mut(own - runs[s]);
-                        add_to_all(before, term);
-                        add_to_all(&mut after[1..], term);
-                    } else {
-                        add_to_all(sums, cross * weight);
+            let runs = l.comm.start[g * sockets..=(g + 1) * sockets].windows(2);
+            for (s, slots) in runs.enumerate().filter(|(_, slots)| slots[0] < slots[1]) {
+                let (first, end) = (slots[0], slots[1]);
+                let scale = l.dvfs.socket_scale[s].max(1e-9);
+                self.terms.clear();
+                self.terms.extend(members.iter().map(|&(k2, at)| {
+                    [cross, intra][usize::from(at == s)] * (self.round_rates[k2] / scale).min(1.0)
+                }));
+                for block in (first..end).step_by(LANES) {
+                    let own = &l.comm.position[block..end.min(block + LANES)];
+                    for (&at, sum) in own.iter().zip(block_sums(&self.terms, own)) {
+                        self.comm[members[at].0] = sum;
                     }
                 }
             }
         }
-    }
-
-    /// Runnable `k`'s term from the last [`Self::communication`]: 0.0 for
-    /// stressors and for workers of groups that do not communicate.
-    fn comm_of(&self, k: usize) -> f64 {
-        self.comm.get(self.layout.comm_slot[k]).copied().unwrap_or(0.0)
     }
 
     /// The relaxation rounds: lock queueing and communication latency
@@ -1151,7 +1162,7 @@ impl Phases {
                 let scale = self.layout.dvfs.socket_scale[e.socket.0]; // = scale_for_core(e.core)
                 let max_rate = if e.is_worker() {
                     let queue = e.behavior.seq_fraction * self.queue_delay[e.group];
-                    scale / (1.0 + queue + self.comm_of(k) + self.interference[k])
+                    scale / (1.0 + queue + self.comm[k] + self.interference[k])
                 } else {
                     scale / (1.0 + self.interference[k])
                 };
@@ -1198,12 +1209,39 @@ impl Phases {
     }
 }
 
-/// Adds one peer's product to a run of observers' sums. The adds are
-/// independent of one another, so the loop vectorizes.
-fn add_to_all(sums: &mut [f64], term: f64) {
-    for sum in sums {
-        *sum += term;
+/// Observers [`block_sums`] sums at once: eight sums, four SSE2 registers.
+const LANES: usize = 8;
+
+/// `SELF_MASKS[lane]` is 1.0 in every lane but `lane`, which holds 0.0.
+const SELF_MASKS: [[f64; LANES]; LANES] = {
+    let (mut masks, mut lane) = ([[1.0; LANES]; LANES], 0);
+    while lane < LANES {
+        masks[lane][lane] = 0.0;
+        lane += 1;
     }
+    masks
+};
+
+/// The communication sums of up to [`LANES`] observers whose own positions
+/// in `terms` are `own`, ascending. Every lane adds every term in order
+/// from +0.0, its own term times its [`SELF_MASKS`] 0.0: a finite term
+/// times 0.0 is ±0.0, which leaves a sum of finite terms started at +0.0
+/// (never −0.0) unchanged, so each sum has the bits of one that skips its
+/// own term, and no term takes a branch.
+fn block_sums(terms: &[f64], own: &[usize]) -> [f64; LANES] {
+    let add = |sums: &mut [f64; LANES], terms: &[f64]| {
+        for &t in terms {
+            sums.iter_mut().for_each(|sum| *sum += t);
+        }
+    };
+    let (mut sums, mut next) = ([0.0; LANES], 0);
+    for (mask, &at) in SELF_MASKS.iter().zip(own) {
+        add(&mut sums, &terms[next..at]);
+        sums.iter_mut().zip(mask).for_each(|(sum, m)| *sum += terms[at] * m);
+        next = at + 1;
+    }
+    add(&mut sums, &terms[next..]);
+    sums
 }
 
 /// The most utilized *hardware* resource of a solve (locks excluded), as
@@ -1591,17 +1629,16 @@ mod oracle {
         MultiRunInputs { spec, groups, stressors: &[], fill_background: true, turbo: true, seed }
     }
 
-    /// A run whose groups' workers alternate sockets in runnable order.
-    /// `Placement::spread` and `packed` both list socket 0's contexts
-    /// first, so only such a run interleaves a group's sockets.
-    struct Interleaved {
+    /// A run whose groups all communicate, shaped to stress the
+    /// communication layout.
+    struct CommRun {
         spec: MachineSpec,
         behaviors: Vec<Behavior>,
         placements: Vec<Placement>,
         stressors: Vec<StressPin>,
     }
 
-    impl Interleaved {
+    impl CommRun {
         fn groups(&self) -> Vec<GroupInput<'_>> {
             let group = |(b, p)| GroupInput { behavior: b, placement: p, data_placement: None };
             self.behaviors.iter().zip(&self.placements).map(group).collect()
@@ -1612,11 +1649,17 @@ mod oracle {
         }
     }
 
-    /// 36 communicating threads on x5-2, and two communicating groups with
-    /// different `comm_factor` and `intra_socket_comm` on x2-4's four
-    /// sockets plus an SMT stressor, every group's threads alternating
-    /// sockets.
-    fn interleaved_runs() -> [Interleaved; 2] {
+    /// The communication layout's hard cases. `Placement::spread` and
+    /// `packed` list socket 0's contexts first, so the first two runs
+    /// alternate sockets in runnable order: 36 threads on x5-2, and two
+    /// groups with different `comm_factor` and `intra_socket_comm` on
+    /// x2-4's four sockets plus an SMT stressor. Then x5-2 packed with 72
+    /// threads (SMT siblings adjacent in member order, 36 observers a
+    /// socket: four full blocks of `LANES` and a partial one); one worker
+    /// on x5-2's socket 0 amid eleven on socket 1 (a one-lane block whose
+    /// own term is not the first); and a one-thread group, whose term is
+    /// exactly 0.0, beside a pair on x3-2.
+    fn comm_runs() -> [CommRun; 5] {
         let communicating = |name: &str, comm_factor: f64, intra_socket_comm: f64| {
             let mut b = Behavior::compute(name, 40.0, 3.0);
             b.burst = BurstProfile::bursty(0.4, 2.0);
@@ -1634,20 +1677,43 @@ mod oracle {
             };
             Placement::new(spec, (0..threads).map(ctx).collect()).expect("the placement fits")
         };
-        let (x5, x2) = (MachineSpec::x5_2(), MachineSpec::x2_4());
+        let on = |spec: &MachineSpec, ctxs: Vec<(usize, usize)>| {
+            let ctxs = ctxs.into_iter().map(|(s, core)| spec.ctx(SocketId(s), core, 0)).collect();
+            Placement::new(spec, ctxs).expect("the placement fits")
+        };
+        let (x5, x2, x3) = (MachineSpec::x5_2(), MachineSpec::x2_4(), MachineSpec::x3_2());
         let stressor = StressPin { kind: StressKind::Cpu, ctx: x2.ctx(SocketId(1), 0, 1) };
+        let lone = (0..12).map(|t| if t == 5 { (0, 0) } else { (1, t) }).collect();
         [
-            Interleaved {
+            CommRun {
                 behaviors: vec![communicating("alt", 0.01, 0.2)],
                 placements: vec![alternating(&x5, 36, 0, 0)],
                 stressors: Vec::new(),
-                spec: x5,
+                spec: x5.clone(),
             },
-            Interleaved {
+            CommRun {
                 behaviors: vec![communicating("a", 0.01, 0.2), communicating("b", 0.025, 0.5)],
                 placements: vec![alternating(&x2, 8, 0, 0), alternating(&x2, 8, 2, 1)],
                 stressors: vec![stressor],
                 spec: x2,
+            },
+            CommRun {
+                behaviors: vec![communicating("wide", 0.01, 0.2)],
+                placements: vec![Placement::packed(&x5, 72).expect("the placement fits")],
+                stressors: Vec::new(),
+                spec: x5.clone(),
+            },
+            CommRun {
+                behaviors: vec![communicating("lone", 0.02, 0.3)],
+                placements: vec![on(&x5, lone)],
+                stressors: Vec::new(),
+                spec: x5,
+            },
+            CommRun {
+                behaviors: vec![communicating("solo", 0.02, 0.3), communicating("pair", 0.01, 0.2)],
+                placements: vec![on(&x3, vec![(0, 0)]), on(&x3, vec![(1, 0), (0, 1)])],
+                stressors: Vec::new(),
+                spec: x3,
             },
         ]
     }
@@ -1717,16 +1783,17 @@ mod oracle {
         b.comm_factor = 0.01;
         b.intra_socket_comm = 0.2;
         b.demand.dram = 1.0;
-        let cases = [(MachineSpec::x5_2(), 72), (MachineSpec::x2_4(), 80), (MachineSpec::x5_2(), 40)];
+        // x5-2 packed with 72 threads is the third of `comm_runs`.
+        let cases = [(MachineSpec::x2_4(), 80), (MachineSpec::x5_2(), 40)];
         for (case, (spec, threads)) in cases.into_iter().enumerate() {
             let p = Placement::packed(&spec, threads).expect("the placement fits the machine");
             let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
             let label = format!("{} with {threads} threads", spec.name);
-            check(&inputs(&spec, &groups, 5000 + case as u64), &label);
+            check(&inputs(&spec, &groups, 5001 + case as u64), &label);
         }
-        for (case, run) in interleaved_runs().iter().enumerate() {
+        for (case, run) in comm_runs().iter().enumerate() {
             let groups = run.groups();
-            let label = format!("{} with alternating sockets", run.spec.name);
+            let label = format!("{} communication run {case}", run.spec.name);
             check(&run.inputs(&groups, 5003 + case as u64), &label);
         }
     }
@@ -1739,13 +1806,15 @@ mod oracle {
         // term to the spec's expression directly, at rates on both sides
         // of the socket scales (so some weights clip at 1.0).
         let mut rng = Rng(0xC0_FFEE);
-        for (case, run) in interleaved_runs().iter().enumerate() {
+        let mut widths = Vec::new();
+        for (case, run) in comm_runs().iter().enumerate() {
             let groups = run.groups();
             let (inputs, config) = (run.inputs(&groups, 11 + case as u64), EngineConfig::default());
             let mut state = RunState::new(&inputs, &config).expect("fault-free run");
             assert!(state.next_segment(), "case {case}: nothing runnable");
             let mut phases = Phases::new(&state, false);
             phases.compile(&state);
+            widths.extend(phases.layout.comm.start.windows(2).map(|w| w[1] - w[0]));
             for draw in 0..3 {
                 let rates = state.runnable.iter().map(|_| 0.2 + rng.unit() * 1.3);
                 phases.round_rates = rates.collect();
@@ -1753,17 +1822,24 @@ mod oracle {
                 for (k, &i) in state.runnable.iter().enumerate() {
                     let e = &state.entities[i];
                     if !e.is_worker() {
-                        assert_eq!(phases.comm_of(k), 0.0, "case {case}: stressor {k}");
+                        assert_eq!(phases.comm[k], 0.0, "case {case}: stressor {k}");
                         continue;
                     }
                     let scale = phases.layout.dvfs.scale_for_core(&run.spec, e.core);
                     let want = spec::communication(&state, &phases.round_rates, scale, k);
-                    let got = phases.comm_of(k);
-                    assert!(want > 0.0, "case {case}: worker {k} has no peers");
+                    let got = phases.comm[k];
                     assert_eq!(got.to_bits(), want.to_bits(), "case {case}, draw {draw}, {k}");
+                    let peers = state.runnable.iter().map(|&j| &state.entities[j]);
+                    if peers.filter(|p| p.is_worker() && p.group == e.group).count() > 1 {
+                        assert!(want > 0.0, "case {case}: worker {k} has no peers");
+                    } else {
+                        assert_eq!(got.to_bits(), 0.0_f64.to_bits(), "case {case}: lone {k}");
+                    }
                 }
             }
         }
+        // Four full blocks and a partial one, and a one-lane block.
+        assert!(widths.contains(&36) && widths.contains(&1), "observer runs: {widths:?}");
     }
 
     #[test]
@@ -1909,30 +1985,39 @@ mod tests {
     use super::*;
     use pandia_topology::{Placement, StressKind};
 
-    /// The segment loop hoists the burst draw's per-entity offset and the
-    /// profile's duty/high/low multipliers out of the loop; this pins the
-    /// hoisted evaluation to the original per-segment computation bit for
-    /// bit (including the low-phase division in `low_multiplier`).
+    /// The segment loop draws burst phases from a per-run [`Burst`] table;
+    /// this pins the table's multiplier and phase bit to the reference
+    /// `BurstProfile::multiplier(burst_draw(..))` bit for bit: the paper
+    /// suite's profiles, a smooth one, one whose low multiplier is exactly
+    /// 0.0, and one whose amplitude is clamped at `1/duty`, over the first
+    /// segments and the last ones before `MAX_SEGMENTS`.
     #[test]
     fn hoisted_burst_constants_match_per_segment_draws() {
-        let profile = crate::behavior::BurstProfile::bursty(0.3, 2.5);
-        for seed in [1u64, 42, 977] {
-            for entity in 0..5usize {
-                let off = burst_offset(seed, entity);
-                for segment in 0..64usize {
-                    let draw = burst_draw(seed, entity, segment);
-                    let seg_phase = segment as f64 * PHI_CONJUGATE;
-                    let hoisted = (off + seg_phase).fract();
-                    assert_eq!(draw.to_bits(), hoisted.to_bits());
-                    let want = profile.multiplier(draw);
-                    let got = if profile.duty >= 1.0 {
-                        1.0
-                    } else if hoisted < profile.duty {
-                        profile.effective_amplitude()
-                    } else {
-                        profile.low_multiplier()
-                    };
-                    assert_eq!(want.to_bits(), got.to_bits());
+        use crate::behavior::BurstProfile;
+        let suite = [
+            (0.6, 1.3), (0.8, 1.2), (0.45, 1.7), (0.85, 1.1), (0.75, 1.25), (0.7, 1.3),
+            (0.8, 1.15), (0.55, 1.5), (0.75, 1.2), (0.65, 1.3), (0.5, 1.6), (0.5, 1.55),
+            (0.6, 1.4),
+        ];
+        let mut profiles: Vec<BurstProfile> =
+            suite.iter().map(|&(duty, amplitude)| BurstProfile::bursty(duty, amplitude)).collect();
+        profiles.extend([BurstProfile::SMOOTH, BurstProfile::bursty(0.5, 2.0)]);
+        profiles.extend([BurstProfile::bursty(0.3, 2.5), BurstProfile::bursty(0.2, 10.0)]);
+        assert_eq!(BurstProfile::bursty(0.5, 2.0).low_multiplier().to_bits(), 0.0_f64.to_bits());
+        assert!(BurstProfile::bursty(0.2, 10.0).effective_amplitude() < 10.0);
+        let segments = (0..64).chain(MAX_SEGMENTS - 64..=MAX_SEGMENTS);
+        for profile in &profiles {
+            let high_bits = profile.multiplier(0.0).to_bits();
+            for seed in [1u64, 42, 977] {
+                for entity in 0..5usize {
+                    let burst = Burst::new(profile, seed, entity);
+                    for segment in segments.clone() {
+                        let want = profile.multiplier(burst_draw(seed, entity, segment));
+                        let phase = burst.phase(segment as f64 * PHI_CONJUGATE);
+                        let what = format!("{profile:?}, seed {seed}, entity {entity}, {segment}");
+                        assert_eq!(burst.multipliers[phase].to_bits(), want.to_bits(), "{what}");
+                        assert_eq!(burst.high[phase], want.to_bits() == high_bits, "{what}");
+                    }
                 }
             }
         }

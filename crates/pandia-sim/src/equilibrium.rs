@@ -136,11 +136,12 @@ pub struct SolveStats {
 /// order.
 ///
 /// The structure is compiled once and solved under many value sets:
-/// [`Self::set_values`] writes each entry's value and sums each pool's
-/// slope left to right, the addition sequence [`solve`] performs over the
-/// same entries. An entry whose value is 0.0 adds +0.0 to a non-negative
-/// sum, which leaves its bits alone, so with non-negative values the
-/// solve is [`solve`]'s over bundles that omit the zero entries.
+/// [`Self::set_values`] picks each entry's value from its `[low, high]`
+/// pair and sums each pool's slope left to right, the addition sequence
+/// [`solve`] performs over the same entries. An entry whose value is 0.0
+/// adds +0.0 to a non-negative sum, which leaves its bits alone, so with
+/// non-negative values the solve is [`solve`]'s over bundles that omit
+/// the zero entries.
 #[derive(Debug, Default)]
 pub struct Demands {
     /// The original index of each pool, ascending.
@@ -197,15 +198,24 @@ impl Demands {
         &self.pools
     }
 
-    /// Writes every entry's value, `value(entry, entity)`, pool by pool,
-    /// summing each pool's slope over its entries in entity order.
-    pub fn set_values(&mut self, mut value: impl FnMut(usize, usize) -> f64) {
+    /// `per_entry`, listed as [`Self::compile`]'s entries are, in slot
+    /// order: pool by pool, each pool's entries in entity order.
+    pub fn in_slot_order<T: Copy>(&self, per_entry: &[T]) -> Vec<T> {
+        self.slot_entry.iter().map(|&j| per_entry[j]).collect()
+    }
+
+    /// Writes every entry's value pool by pool from `pairs`, one `[low,
+    /// high]` pair per entry in slot order: an entry takes its high value
+    /// when its entity's `high` bit is set. Each pool's slope is summed
+    /// over its entries in entity order as they are written.
+    pub fn set_values(&mut self, pairs: &[[f64; 2]], high: &[bool]) {
         for (c, slope) in self.slopes.iter_mut().enumerate() {
+            let (first, end) = (self.pool_start[c], self.pool_start[c + 1]);
+            let slots = self.values[first..end].iter_mut().zip(&pairs[first..end]);
             let mut sum = 0.0;
-            for slot in self.pool_start[c]..self.pool_start[c + 1] {
-                let v = value(self.slot_entry[slot], self.slot_entity[slot]);
-                self.values[slot] = v;
-                sum += v;
+            for ((value, pair), &e) in slots.zip(&self.slot_entity[first..end]) {
+                *value = pair[usize::from(high[e])];
+                sum += *value;
             }
             *slope = sum;
         }

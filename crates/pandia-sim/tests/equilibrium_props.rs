@@ -68,16 +68,25 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str, seed: u64) {
 }
 
 /// The structure of `entities`' bundles, every entry kept (zero values
-/// too) in push order, with each entry's value written.
+/// too) in push order, with each entry's value written. Even entities
+/// take the high value of their pairs and odd ones the low value; the
+/// other value is NaN, so a pick from the wrong side poisons the solve.
 fn compile(entities: &[EntityDemand]) -> Demands {
     let entries: Vec<(usize, usize)> = entities
         .iter()
         .enumerate()
         .flat_map(|(e, ent)| ent.demands.iter().map(move |&(r, _)| (e, r)))
         .collect();
-    let values: Vec<f64> = entities.iter().flat_map(|e| &e.demands).map(|&(_, d)| d).collect();
+    let high: Vec<bool> = (0..entities.len()).map(|e| e % 2 == 0).collect();
+    let pairs: Vec<[f64; 2]> = entities
+        .iter()
+        .enumerate()
+        .flat_map(|(e, ent)| ent.demands.iter().map(move |&(_, d)| (e, d)))
+        .map(|(e, d)| if high[e] { [f64::NAN, d] } else { [d, f64::NAN] })
+        .collect();
     let mut demands = Demands::compile(entities.len(), &entries);
-    demands.set_values(|entry, _| values[entry]);
+    let slot_pairs = demands.in_slot_order(&pairs);
+    demands.set_values(&slot_pairs, &high);
     demands
 }
 

@@ -248,6 +248,10 @@ impl MachineSpec {
             "multi-socket machines need interconnect bandwidth",
         )?;
         check(
+            self.interconnect_latency >= 0.0 && self.interconnect_latency.is_finite(),
+            "interconnect latency must be non-negative and finite",
+        )?;
+        check(
             self.turbo.nominal_ghz > 0.0
                 && self.turbo.single_core_ghz >= self.turbo.all_core_ghz
                 && self.turbo.all_core_ghz > 0.0,
@@ -546,6 +550,25 @@ mod tests {
         let mut m = MachineSpec::x3_2();
         m.dram_bw_per_socket = -1.0;
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn bad_interconnect_latency_is_rejected() {
+        // The simulator multiplies the latency into every communication
+        // term, so a negative or non-finite one would run silently.
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = MachineSpec::x5_2();
+            m.interconnect_latency = bad;
+            match m.validate() {
+                Err(TopologyError::InvalidSpec { reason }) => {
+                    assert!(reason.contains("interconnect latency"), "{bad}: {reason}")
+                }
+                other => panic!("latency {bad} must be rejected: {other:?}"),
+            }
+        }
+        let mut m = MachineSpec::x5_2();
+        m.interconnect_latency = 0.0;
+        assert!(m.validate().is_ok(), "a zero latency is valid");
     }
 
     #[test]
