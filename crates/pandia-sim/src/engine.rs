@@ -86,8 +86,8 @@ pub struct SimStats {
     /// Layouts compiled: fully computed segments whose runnable set
     /// differs from the one the run's layout was last compiled for.
     pub layouts: u64,
-    /// First-round equilibrium solves: one per fully computed segment, so
-    /// this is `segments - segments_coalesced`.
+    /// First-round equilibrium solves: one per fully computed segment
+    /// whose rates are not the saturated step.
     pub solves: u64,
     /// Later-round solves answered from the solver's cached rates
     /// (rate caps and capacities unchanged).
@@ -95,6 +95,9 @@ pub struct SimStats {
     /// Later-round solves over the first round's values that ran the
     /// filling loop again because rate caps or capacities moved.
     pub solves_batched: u64,
+    /// Fully computed segments answered by the saturated step, with no
+    /// solve: `solves + saturated` is `segments - segments_coalesced`.
+    pub saturated: u64,
 }
 
 /// Everything a segment middle produces from its (runnable set, burst
@@ -758,6 +761,7 @@ impl Middles {
             solves: solver.solves,
             solves_skipped: solver.solves_skipped,
             solves_batched: solver.prefix_solves,
+            saturated: self.phases.saturated,
         }
     }
 }
@@ -786,9 +790,12 @@ struct Phases {
     /// peers (the spec's two multiplies, in its order); `None` when the
     /// group does not communicate.
     comm_lat: Vec<Option<(f64, f64)>>,
+    /// Whether the run's inputs let the full-weight bound hold (`new`).
+    bounded: bool,
     layout: Layout,
-    /// Layouts compiled this run.
+    /// Layouts compiled this run, and middles answered by the saturated step.
     layouts: u64,
+    saturated: u64,
     solver: equilibrium::IncrementalSolver,
     interference: Vec<f64>,
     /// One (group, socket)'s communication term per group member.
@@ -823,6 +830,8 @@ struct Layout {
     /// ascending (SMT interference).
     smt_members: Vec<Vec<usize>>,
     comm: CommLayout,
+    /// Each runnable's communication term with every peer's weight 1.0.
+    comm_bound: Vec<f64>,
     /// The demand structure, and each entry's low- and high-phase value
     /// in the structure's slot order.
     demands: equilibrium::Demands,
@@ -900,18 +909,25 @@ impl Burst {
 
 impl Phases {
     fn new(run: &RunState<'_>, traced: bool) -> Self {
-        let entities = &run.entities;
-        let latency = run.inputs.spec.interconnect_latency;
-        let comm_lat = run.inputs.groups.iter().map(|g| {
+        let (entities, spec, groups) = (&run.entities, run.inputs.spec, run.inputs.groups);
+        let comm_lat: Vec<_> = groups.iter().map(|g| {
             let b = g.behavior;
-            let cf_lat = |hop: f64| b.comm_factor * (hop * latency);
+            let cf_lat = |hop: f64| b.comm_factor * (hop * spec.interconnect_latency);
             (b.comm_factor > 0.0).then(|| (cf_lat(b.intra_socket_comm), cf_lat(1.0)))
-        });
+        }).collect();
+        // The full-weight bound needs finite, non-negative products and
+        // non-negative queueing and interference terms. `SimMachine` checks
+        // each `Behavior` but not its `MachineSpec`, and `run_multi` neither.
+        let sound = |p: f64| p.is_finite() && p >= 0.0;
+        let bounded = comm_lat.iter().flatten().all(|&(intra, cross)| sound(intra) && sound(cross))
+            && groups.iter().all(|g| g.behavior.seq_fraction >= 0.0)
+            && spec.smt_burst_collision >= 0.0;
         let burst = |(i, e): (usize, &Entity)| Burst::new(&e.behavior.burst, run.inputs.seed, i);
         Self {
             traced,
             bursts: entities.iter().enumerate().map(burst).collect(),
-            comm_lat: comm_lat.collect(),
+            comm_lat,
+            bounded,
             base_caps: run.table.resources().iter().map(|r| r.capacity).collect(),
             ..Self::default()
         }
@@ -1039,6 +1055,10 @@ impl Phases {
         l.comm = CommLayout::new(run, &self.comm_lat);
         self.comm.clear();
         self.comm.resize(runnable.len(), 0.0);
+        // Every weight `(rate / scale).min(1.0)` at its ceiling.
+        self.round_rates = vec![f64::INFINITY; runnable.len()];
+        self.communication(run);
+        self.layout.comm_bound.clone_from(&self.comm);
     }
 
     /// The demand entries, `(runnable, pool)` in the spec's push order, and
@@ -1133,11 +1153,27 @@ impl Phases {
         }
     }
 
-    /// The relaxation rounds: lock queueing and communication latency
-    /// feed back into each thread's rate cap, and each round re-solves the
-    /// equilibrium. Round 0 fills from the slopes `values` summed; later
-    /// rounds rewrite only the rate caps, so the solver may skip them.
+    /// The relaxation rounds, first on the full-weight bound when the
+    /// first fill round's step freezes every entity: if every cap clears
+    /// the step, every exact cap does, and so do the rates (DESIGN §16).
     fn relax(&mut self, run: &RunState<'_>) {
+        let l = &self.layout;
+        let (step, freezes_all) = self.solver.first_step(&l.demands, &l.pool_caps);
+        if self.bounded && freezes_all && self.rounds(run, step, true) {
+            self.saturated += 1;
+        } else {
+            self.rounds(run, step, false);
+        }
+    }
+
+    /// The rounds from the warm start: lock queueing and communication
+    /// latency feed back into each thread's rate cap, and each round
+    /// re-solves the equilibrium, `step` its first pool term. Round 0 fills
+    /// from the slopes `values` summed; later rounds rewrite only the rate
+    /// caps, so the solver may skip them. A `bounded` round takes the
+    /// full-weight bound and, if every cap is positive and at least `step`,
+    /// the step as its rates; false if one is not.
+    fn rounds(&mut self, run: &RunState<'_>, step: f64, bounded: bool) -> bool {
         let (spec, entities, runnable) = (run.inputs.spec, &run.entities, &run.runnable);
         self.round_rates.clear();
         self.round_rates.extend(runnable.iter().map(|&i| run.prev_rates[i]));
@@ -1156,13 +1192,16 @@ impl Phases {
                 *delay = rho / (1.0 - rho);
             }
 
-            self.communication(run);
+            if !bounded {
+                self.communication(run);
+            }
+            let comm = if bounded { &self.layout.comm_bound } else { &self.comm };
             for (k, &i) in runnable.iter().enumerate() {
                 let e = &entities[i];
                 let scale = self.layout.dvfs.socket_scale[e.socket.0]; // = scale_for_core(e.core)
                 let max_rate = if e.is_worker() {
                     let queue = e.behavior.seq_fraction * self.queue_delay[e.group];
-                    scale / (1.0 + queue + self.comm[k] + self.interference[k])
+                    scale / (1.0 + queue + comm[k] + self.interference[k])
                 } else {
                     scale / (1.0 + self.interference[k])
                 };
@@ -1172,16 +1211,25 @@ impl Phases {
                 } else {
                     max_rate
                 };
+                let clears = self.max_rates[k] > 0.0 && self.max_rates[k] >= step;
+                if bounded && !clears {
+                    return false;
+                }
+            }
+            if bounded {
+                self.round_rates.fill(step);
+                continue;
             }
             let (demands, caps) = (&self.layout.demands, &self.layout.pool_caps);
             let rates = if round == 0 {
-                self.solver.solve(demands, &self.max_rates, caps)
+                self.solver.solve(demands, &self.max_rates, caps, Some(step))
             } else {
-                self.solver.solve_same_demands(demands, &self.max_rates, caps)
+                self.solver.solve_same_demands(demands, &self.max_rates, caps, Some(step))
             };
             self.round_rates.clear();
             self.round_rates.extend_from_slice(rates);
         }
+        true
     }
 
     /// The middle's outputs, copied out of the reused buffers. Only a
@@ -1281,6 +1329,7 @@ fn run_multi_impl(
         pandia_obs::count("sim.solves", stats.solves);
         pandia_obs::count("sim.solves_skipped", stats.solves_skipped);
         pandia_obs::count("sim.solves_batched", stats.solves_batched);
+        pandia_obs::count("sim.saturated", stats.saturated);
         pandia_obs::observe("sim.segments_per_run", run.segment as f64);
         pandia_obs::observe("sim.entities_per_run", run.entities.len() as f64);
     }
@@ -1290,40 +1339,17 @@ fn run_multi_impl(
 /// Zeroes counter channels the fault plan drops for this run, returning
 /// how many channels were lost. Channel indices are part of the
 /// deterministic schedule (see [`crate::fault::DROPOUT_CHANNELS`]).
-fn apply_counter_dropout(
-    plan: &FaultPlan,
-    seed: u64,
-    group_hash: u64,
-    counters: &mut Counters,
-) -> u64 {
-    if plan.dropout_rate <= 0.0 {
-        return 0;
-    }
-    let mut dropped = 0;
-    if plan.drops_channel(seed, group_hash, 0) {
-        counters.instructions = 0.0;
-        dropped += 1;
-    }
-    if plan.drops_channel(seed, group_hash, 1) {
-        counters.l1_bytes = 0.0;
-        dropped += 1;
-    }
-    if plan.drops_channel(seed, group_hash, 2) {
-        counters.l2_bytes = 0.0;
-        dropped += 1;
-    }
-    if plan.drops_channel(seed, group_hash, 3) {
-        counters.l3_bytes = 0.0;
-        dropped += 1;
-    }
-    if plan.drops_channel(seed, group_hash, 4) {
-        for b in &mut counters.dram_bytes {
-            *b = 0.0;
+fn apply_counter_dropout(plan: &FaultPlan, seed: u64, hash: u64, counters: &mut Counters) -> u64 {
+    let (mut dropped, channels) = (0, 0..crate::fault::DROPOUT_CHANNELS as u64);
+    for channel in channels.filter(|&c| plan.drops_channel(seed, hash, c)) {
+        match channel {
+            0 => counters.instructions = 0.0,
+            1 => counters.l1_bytes = 0.0,
+            2 => counters.l2_bytes = 0.0,
+            3 => counters.l3_bytes = 0.0,
+            4 => counters.dram_bytes.iter_mut().for_each(|b| *b = 0.0),
+            _ => counters.interconnect_bytes = 0.0,
         }
-        dropped += 1;
-    }
-    if plan.drops_channel(seed, group_hash, 5) {
-        counters.interconnect_bytes = 0.0;
         dropped += 1;
     }
     dropped
@@ -1947,11 +1973,12 @@ mod oracle {
     #[test]
     fn solve_counters_reconcile_with_the_spec_segment_count() {
         // Every solver call lands in exactly one bucket — first round
-        // (solves), skipped, or batched — and a replayed segment stands
-        // for `RELAXATION_ROUNDS` calls, so the buckets add up to
-        // `RELAXATION_ROUNDS` solves per segment of the spec's schedule.
-        // Each computed middle solves round 0 exactly once and compiles a
-        // layout at most once.
+        // (solves), skipped, or batched — and a replayed segment or one
+        // answered by the saturated step stands for `RELAXATION_ROUNDS`
+        // calls, so the buckets add up to `RELAXATION_ROUNDS` solves per
+        // segment of the spec's schedule. Each computed middle either
+        // solves round 0 exactly once or takes the saturated step, and
+        // compiles a layout at most once.
         let mut rng = Rng(0x5EED_5041);
         let rounds = RELAXATION_ROUNDS as u64;
         for case in 0..10u64 {
@@ -1961,21 +1988,124 @@ mod oracle {
             let (_, stats) = run_multi_stats(&inputs, &EngineConfig::default()).expect("run");
             let (_, _, segments) = spec::run_multi(&inputs, &EngineConfig::default()).expect("run");
             assert_eq!(stats.segments, segments, "case {case}: segment schedules differ");
-            let replayed = rounds * stats.segments_coalesced;
+            let unsolved = rounds * (stats.segments_coalesced + stats.saturated);
             assert_eq!(
-                stats.solves + stats.solves_skipped + stats.solves_batched + replayed,
+                stats.solves + stats.solves_skipped + stats.solves_batched + unsolved,
                 rounds * segments,
                 "case {case}: solve counters must reconcile ({stats:?})"
             );
             assert_eq!(
-                stats.solves,
+                stats.solves + stats.saturated,
                 stats.segments - stats.segments_coalesced,
-                "case {case}: one first-round solve per computed middle ({stats:?})"
+                "case {case}: one first-round solve or step per computed middle ({stats:?})"
             );
             assert!(
-                (1..=stats.solves).contains(&stats.layouts),
+                (1..=stats.solves + stats.saturated).contains(&stats.layouts),
                 "case {case}: at most one layout per computed middle ({stats:?})"
             );
+        }
+    }
+
+    /// An x5-2 run whose DRAM traffic is interleaved over both sockets, so
+    /// the first fill round's step saturates the interconnect link under
+    /// every thread; `comm_factor` sets its communication.
+    fn interleaved_run(comm_factor: f64) -> (MachineSpec, Behavior, Placement) {
+        let spec = MachineSpec::x5_2();
+        let mut b = Behavior::compute("interleaved", 40.0, 1.0);
+        (b.seq_fraction, b.comm_factor, b.intra_socket_comm) = (0.02, comm_factor, 0.2);
+        (b.demand.dram, b.data_placement) = (6.0, DataPlacement::Interleave);
+        b.burst = BurstProfile::bursty(0.6, 1.3);
+        let p = Placement::spread(&spec, 24).expect("the placement fits");
+        (spec, b, p)
+    }
+
+    /// Diffs a run against the spec and returns its engine counters, which
+    /// must count one round-0 solve or one saturated step per computed middle.
+    fn checked_stats(inputs: &MultiRunInputs<'_>, label: &str) -> SimStats {
+        assert_matches_spec(inputs, &EngineConfig::default(), label);
+        let (_, stats) = run_multi_stats(inputs, &EngineConfig::default()).expect("run");
+        let computed = stats.segments - stats.segments_coalesced;
+        assert_eq!(stats.solves + stats.saturated, computed, "{label}: {stats:?}");
+        stats
+    }
+
+    /// Whether the first fill round's step freezes every entity in the
+    /// run's first segment middle, whatever the rate caps.
+    fn first_step_freezes_all(inputs: &MultiRunInputs<'_>) -> bool {
+        let config = EngineConfig::default();
+        let mut state = RunState::new(inputs, &config).expect("fault-free run");
+        assert!(state.next_segment(), "nothing runnable");
+        let mut phases = Phases::new(&state, false);
+        phases.draw_multipliers(&state);
+        phases.compile(&state);
+        phases.values(&state);
+        phases.solver.first_step(&phases.layout.demands, &phases.layout.pool_caps).1
+    }
+
+    #[test]
+    fn production_matches_spec_when_the_saturated_step_answers_or_declines() {
+        // A light communication factor leaves every bounded cap above the
+        // step, so computed middles take it; a heavy one sinks the
+        // full-weight bound below the step, so every middle declines and
+        // solves, although the step still freezes every thread.
+        for (comm_factor, seed) in [(0.01, 9100), (0.5, 9101)] {
+            let (spec, b, p) = interleaved_run(comm_factor);
+            let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
+            let inputs = inputs(&spec, &groups, seed);
+            let label = format!("interleaved x5-2, comm_factor {comm_factor}");
+            let stats = checked_stats(&inputs, &label);
+            assert!(first_step_freezes_all(&inputs), "{label}: the link must freeze every thread");
+            if comm_factor < 0.1 {
+                let answered = stats.saturated > stats.solves;
+                assert!(answered, "{label}: the step must answer ({stats:?})");
+            } else {
+                assert_eq!(stats.saturated, 0, "{label}: the bound must decline ({stats:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn production_matches_spec_with_a_cpu_stressor_beside_every_thread() {
+        // Profiling run 4's shape: eight threads on one x5-2 socket, one per
+        // core, each with a CPU stressor on its SMT sibling. The threads'
+        // DRAM node saturates first and no stressor uses it, so no step
+        // freezes every entity.
+        let spec = MachineSpec::x5_2();
+        let mut b = Behavior::compute("run4", 40.0, 1.0);
+        (b.seq_fraction, b.comm_factor, b.demand.dram) = (0.02, 0.01, 30.0);
+        let p = pandia_topology::CanonicalPlacement::new(vec![vec![1; 8]]).instantiate(&spec);
+        let p = p.expect("the placement fits");
+        let sibling = |&ctx: &CtxId| sibling_ctx(&spec, ctx).expect("x5-2 has SMT");
+        let stress = |ctx: &CtxId| StressPin { kind: StressKind::Cpu, ctx: sibling(ctx) };
+        let stressors: Vec<StressPin> = p.contexts().iter().map(stress).collect();
+        let groups = [GroupInput { behavior: &b, placement: &p, data_placement: None }];
+        let inputs = MultiRunInputs { stressors: &stressors, ..inputs(&spec, &groups, 9200) };
+        assert!(!first_step_freezes_all(&inputs), "a stressor must stay unfrozen");
+        let stats = checked_stats(&inputs, "stressor beside every thread");
+        assert_eq!(stats.saturated, 0, "no middle has a saturated step ({stats:?})");
+    }
+
+    #[test]
+    fn production_matches_spec_on_unvalidated_communication_inputs() {
+        // `engine::run_multi` validates neither the behavior nor the
+        // machine. A negative `intra_socket_comm`, or a negative
+        // `interconnect_latency`, makes a `comm_factor · latency` product
+        // negative, so the full-weight bound bounds nothing: the run must
+        // decline every step and still match the spec. The same run with
+        // valid inputs takes the step.
+        let (spec, b, p) = interleaved_run(0.01);
+        let mut negative_hop = b.clone();
+        negative_hop.intra_socket_comm = -0.5;
+        let mut negative_latency = spec.clone();
+        negative_latency.interconnect_latency = -1.0;
+        for (label, spec, b) in [
+            ("valid", &spec, &b),
+            ("negative intra_socket_comm", &spec, &negative_hop),
+            ("negative interconnect_latency", &negative_latency, &b),
+        ] {
+            let groups = [GroupInput { behavior: b, placement: &p, data_placement: None }];
+            let stats = checked_stats(&inputs(spec, &groups, 9300), label);
+            assert_eq!(stats.saturated > 0, label == "valid", "{label}: {stats:?}");
         }
     }
 }

@@ -113,7 +113,7 @@ pub fn pool_loads(entities: &[EntityDemand], rates: &[f64], pools: usize) -> Vec
     loads
 }
 
-/// Counters kept by an [`IncrementalSolver`].
+/// Counters kept by an [`IncrementalSolver`], one per solving call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// [`IncrementalSolver::solve`] calls: each runs the filling loop from
@@ -124,8 +124,7 @@ pub struct SolveStats {
     /// to the previous call's as well.
     pub solves_skipped: u64,
     /// [`IncrementalSolver::solve_same_demands`] calls whose rate caps or
-    /// capacities moved: only the filling loop runs (the engine's later
-    /// relaxation rounds).
+    /// capacities moved: only the filling loop runs again.
     pub prefix_solves: u64,
 }
 
@@ -144,8 +143,10 @@ pub struct SolveStats {
 /// the zero entries.
 #[derive(Debug, Default)]
 pub struct Demands {
-    /// The original index of each pool, ascending.
+    /// The original index of each pool, ascending, and every renumbered
+    /// pool, `0..pools.len()`, the pools a first filling round scans.
     pools: Vec<usize>,
+    every: Vec<usize>,
     /// Pool `c`'s slots are `pool_start[c]..pool_start[c + 1]`.
     pool_start: Vec<usize>,
     /// Each slot's entity (ascending within a pool) and entry index.
@@ -188,6 +189,7 @@ impl Demands {
             live: pool_start.windows(2).map(|w| (w[1] - w[0]) as u32).collect(),
             values: vec![0.0; entries.len()],
             slopes: vec![0.0; pools.len()],
+            every: (0..pools.len()).collect(),
             pools,
             pool_start,
         }
@@ -334,13 +336,15 @@ impl IncrementalSolver {
         self.stats
     }
 
-    /// Solves the max-min fair rates of `demands` under per-entity
-    /// `max_rates` and the capacities of [`Demands::pools`]. The returned
-    /// slice is valid until the next call (the engine's hot loop copies
-    /// the rates out, so nothing is cloned per solve).
-    pub fn solve(&mut self, demands: &Demands, max_rates: &[f64], capacities: &[f64]) -> &[f64] {
+    /// Solves the max-min fair rates of `d` under per-entity rate caps
+    /// `maxr` and the capacities of [`Demands::pools`]; a `step` from
+    /// [`Self::first_step`] on the same values and capacities spares the
+    /// first filling round its pool scan. The returned slice is valid until
+    /// the next call (the engine's hot loop copies the rates out, so nothing
+    /// is cloned per solve).
+    pub fn solve(&mut self, d: &Demands, maxr: &[f64], caps: &[f64], step: Option<f64>) -> &[f64] {
         self.stats.solves += 1;
-        self.fill(demands, max_rates, capacities)
+        self.fill(d, maxr, caps, step)
     }
 
     /// [`Self::solve`] for callers that *know* no value of `demands`
@@ -353,23 +357,144 @@ impl IncrementalSolver {
         demands: &Demands,
         max_rates: &[f64],
         capacities: &[f64],
+        step: Option<f64>,
     ) -> &[f64] {
         if bits_eq(&self.max_rates, max_rates) && bits_eq(&self.capacities, capacities) {
             self.stats.solves_skipped += 1;
             return &self.rates;
         }
         self.stats.prefix_solves += 1;
-        self.fill(demands, max_rates, capacities)
+        self.fill(demands, max_rates, capacities, step)
     }
 
-    /// Records this call's rate caps and capacities for the next call's
-    /// skip check and runs the filling loop.
-    fn fill(&mut self, demands: &Demands, max_rates: &[f64], capacities: &[f64]) -> &[f64] {
+    /// The first filling round's pool term over the values last written
+    /// to `demands`, as a fill with no entity frozen at the start forms
+    /// it, and whether this step is positive and freezes every entity:
+    /// each has a positive value on a pool whose residual `capacity -
+    /// slope * step` passes the fill's saturation test. If so, and every
+    /// rate cap is positive and at least the step, the first round's step
+    /// is the step, every rate becomes `0.0 + step`, the same pools
+    /// saturate, and every entity freezes: the rates are the step. Counts
+    /// nothing.
+    pub fn first_step(&mut self, demands: &Demands, caps: &[f64]) -> (f64, bool) {
+        let (d, s) = (demands, &mut self.scratch);
+        let step = pool_term(&d.every, &d.slopes, caps);
+        s.touch_sat.clear();
+        s.touch_sat.resize(d.entity_start.len().saturating_sub(1), false);
+        for (c, (&slope, &cap)) in d.slopes.iter().zip(caps).enumerate() {
+            if slope > 0.0 && cap - slope * step <= 1e-9 * cap.max(1.0) {
+                d.contributors(c).filter(|&(_, v)| v > 0.0).for_each(|(e, _)| s.touch_sat[e] = true);
+            }
+        }
+        (step, step > 0.0 && s.touch_sat.iter().all(|&frozen| frozen))
+    }
+
+    /// The progressive-filling loop over a compiled structure, recording
+    /// this call's rate caps and capacities for the next skip check.
+    ///
+    /// Mirrors [`solve`]'s rates exactly, except that a pool's slope is only
+    /// re-summed when one of its contributors froze in the previous round
+    /// (the "dirty" pools); an untouched pool's slope is the same ordered sum
+    /// [`solve`] would recompute, so reusing it is bit-exact. The loop ends
+    /// as soon as the last entity freezes, before the re-sum that only a
+    /// next round would read. The structure is read-only — frozen entities
+    /// are skipped via a flag vector rather than removed — and all working
+    /// memory lives in the solver's scratch, so the loop performs no
+    /// allocation beyond first-use buffer growth. A given `step` is the
+    /// first round's pool term: the same slopes and capacities give the same
+    /// term, as long as no entity starts frozen.
+    fn fill(&mut self, d: &Demands, maxr: &[f64], capacities: &[f64], step: Option<f64>) -> &[f64] {
         self.max_rates.clear();
-        self.max_rates.extend_from_slice(max_rates);
+        self.max_rates.extend_from_slice(maxr);
         self.capacities.clear();
         self.capacities.extend_from_slice(capacities);
-        fill(demands, max_rates, capacities, &mut self.scratch, &mut self.rates);
+        let (s, rates) = (&mut self.scratch, &mut self.rates);
+        let n = maxr.len();
+        let m = capacities.len();
+        rates.clear();
+        rates.resize(n, 0.0);
+        if n == 0 {
+            return &self.rates;
+        }
+        s.slope.clone_from(&d.slopes);
+        s.contrib_live.clone_from(&d.live);
+        s.residual.clear();
+        s.residual.extend_from_slice(capacities);
+        s.saturated.clear();
+        s.saturated.resize(m, false);
+        s.frozen.clear();
+        s.frozen.resize(n, false);
+        s.touch_sat.clear();
+        s.touch_sat.resize(n, false);
+        s.dirty_flag.clear();
+        s.dirty_flag.resize(m, false);
+        s.touched.clear();
+        s.touched.extend(0..m);
+        s.active.clear();
+        s.newly_frozen.clear();
+        for (e, &cap) in maxr.iter().enumerate() {
+            if cap > 0.0 {
+                s.active.push(e);
+            } else {
+                s.newly_frozen.push(e);
+            }
+        }
+        let mut step = step.filter(|_| s.newly_frozen.is_empty());
+        if !s.newly_frozen.is_empty() {
+            s.freeze(d);
+        }
+
+        while !s.active.is_empty() {
+            let scan = || pool_term(&s.touched, &s.slope, &s.residual);
+            let mut delta = step.take().unwrap_or_else(scan);
+            for &e in &s.active {
+                delta = delta.min(maxr[e] - rates[e]);
+            }
+            if !delta.is_finite() {
+                break;
+            }
+            let delta = delta.max(0.0);
+            for &e in &s.active {
+                rates[e] += delta;
+            }
+            for &r in &s.touched {
+                let sl = s.slope[r];
+                if sl > 0.0 {
+                    s.residual[r] -= sl * delta;
+                    if s.residual[r] <= 1e-9 * capacities[r].max(1.0) {
+                        s.residual[r] = s.residual[r].max(0.0);
+                        // First saturation of this pool: flag every entity
+                        // that places positive demand here, which equals the
+                        // `any(d > 0.0 && saturated[r])` scan [`solve`]
+                        // performs — computed once instead of every round.
+                        if !s.saturated[r] {
+                            s.saturated[r] = true;
+                            for (e, v) in d.contributors(r) {
+                                if v > 0.0 {
+                                    s.touch_sat[e] = true;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            s.newly_frozen.clear();
+            let (touch_sat, newly_frozen) = (&s.touch_sat, &mut s.newly_frozen);
+            s.active.retain(|&e| {
+                let keep = if rates[e] >= maxr[e] - 1e-12 { false } else { !touch_sat[e] };
+                if !keep {
+                    newly_frozen.push(e);
+                }
+                keep
+            });
+            if s.active.is_empty() {
+                break;
+            }
+            if !s.newly_frozen.is_empty() {
+                s.freeze(d);
+            }
+        }
+
         &self.rates
     }
 }
@@ -379,132 +504,38 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// The progressive-filling loop over a compiled structure, writing the
-/// rates into `rates`.
-///
-/// Mirrors [`solve`]'s rates exactly, except that a pool's slope is only
-/// re-summed when one of its contributors froze in the previous round
-/// (the "dirty" pools); an untouched pool's slope is the same ordered sum
-/// [`solve`] would recompute, so reusing it is bit-exact. The loop ends
-/// as soon as the last entity freezes, before the re-sum that only a
-/// next round would read. The structure is read-only — frozen entities
-/// are skipped via a flag vector rather than removed — and all working
-/// memory lives in the caller-owned scratch, so the loop performs no
-/// allocation beyond first-use buffer growth.
-fn fill(d: &Demands, maxr: &[f64], capacities: &[f64], s: &mut FillScratch, rates: &mut Vec<f64>) {
-    let n = maxr.len();
-    let m = capacities.len();
-    rates.clear();
-    rates.resize(n, 0.0);
-    if n == 0 {
-        return;
-    }
-    s.slope.clone_from(&d.slopes);
-    s.contrib_live.clone_from(&d.live);
-    s.residual.clear();
-    s.residual.extend_from_slice(capacities);
-    s.saturated.clear();
-    s.saturated.resize(m, false);
-    s.frozen.clear();
-    s.frozen.resize(n, false);
-    s.touch_sat.clear();
-    s.touch_sat.resize(n, false);
-    s.dirty_flag.clear();
-    s.dirty_flag.resize(m, false);
-    s.touched.clear();
-    s.touched.extend(0..m);
-    s.active.clear();
-    s.newly_frozen.clear();
-    for (e, &cap) in maxr.iter().enumerate() {
-        if cap > 0.0 {
-            s.active.push(e);
-        } else {
-            s.newly_frozen.push(e);
+/// `residual.max(0.0) / slope`, least over the `pools` of positive slope
+/// (infinite when there is none): the pool term of a filling round's
+/// step. Four independent min accumulators let the divisions pipeline
+/// instead of serialising behind one running minimum; `f64::min` is exact
+/// (the result is one of its operands, never a rounded combination), so
+/// regrouping the reduction cannot change which value survives.
+fn pool_term(pools: &[usize], slope: &[f64], residual: &[f64]) -> f64 {
+    let (mut d0, mut d1, mut d2, mut d3) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut quads = pools.chunks_exact(4);
+    for quad in &mut quads {
+        let (r0, r1, r2, r3) = (quad[0], quad[1], quad[2], quad[3]);
+        let (s0, s1, s2, s3) = (slope[r0], slope[r1], slope[r2], slope[r3]);
+        if s0 > 0.0 {
+            d0 = d0.min(residual[r0].max(0.0) / s0);
+        }
+        if s1 > 0.0 {
+            d1 = d1.min(residual[r1].max(0.0) / s1);
+        }
+        if s2 > 0.0 {
+            d2 = d2.min(residual[r2].max(0.0) / s2);
+        }
+        if s3 > 0.0 {
+            d3 = d3.min(residual[r3].max(0.0) / s3);
         }
     }
-    if !s.newly_frozen.is_empty() {
-        s.freeze(d);
-    }
-
-    while !s.active.is_empty() {
-        // Four independent min accumulators let the divisions pipeline
-        // instead of serialising behind one running minimum; `f64::min`
-        // is exact (the result is one of its operands, never a rounded
-        // combination), so regrouping the reduction cannot change which
-        // value survives.
-        let (mut d0, mut d1, mut d2, mut d3) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut quads = s.touched.chunks_exact(4);
-        for quad in &mut quads {
-            let (r0, r1, r2, r3) = (quad[0], quad[1], quad[2], quad[3]);
-            let (s0, s1, s2, s3) = (s.slope[r0], s.slope[r1], s.slope[r2], s.slope[r3]);
-            if s0 > 0.0 {
-                d0 = d0.min(s.residual[r0].max(0.0) / s0);
-            }
-            if s1 > 0.0 {
-                d1 = d1.min(s.residual[r1].max(0.0) / s1);
-            }
-            if s2 > 0.0 {
-                d2 = d2.min(s.residual[r2].max(0.0) / s2);
-            }
-            if s3 > 0.0 {
-                d3 = d3.min(s.residual[r3].max(0.0) / s3);
-            }
-        }
-        for &r in quads.remainder() {
-            let sl = s.slope[r];
-            if sl > 0.0 {
-                d0 = d0.min((s.residual[r].max(0.0)) / sl);
-            }
-        }
-        let mut delta = d0.min(d1).min(d2).min(d3);
-        for &e in &s.active {
-            delta = delta.min(maxr[e] - rates[e]);
-        }
-        if !delta.is_finite() {
-            break;
-        }
-        let delta = delta.max(0.0);
-        for &e in &s.active {
-            rates[e] += delta;
-        }
-        for &r in &s.touched {
-            let sl = s.slope[r];
-            if sl > 0.0 {
-                s.residual[r] -= sl * delta;
-                if s.residual[r] <= 1e-9 * capacities[r].max(1.0) {
-                    s.residual[r] = s.residual[r].max(0.0);
-                    // First saturation of this pool: flag every entity
-                    // that places positive demand here, which equals the
-                    // `any(d > 0.0 && saturated[r])` scan [`solve`]
-                    // performs — computed once instead of every round.
-                    if !s.saturated[r] {
-                        s.saturated[r] = true;
-                        for (e, v) in d.contributors(r) {
-                            if v > 0.0 {
-                                s.touch_sat[e] = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        s.newly_frozen.clear();
-        let (touch_sat, newly_frozen) = (&s.touch_sat, &mut s.newly_frozen);
-        s.active.retain(|&e| {
-            let keep = if rates[e] >= maxr[e] - 1e-12 { false } else { !touch_sat[e] };
-            if !keep {
-                newly_frozen.push(e);
-            }
-            keep
-        });
-        if s.active.is_empty() {
-            break;
-        }
-        if !s.newly_frozen.is_empty() {
-            s.freeze(d);
+    for &r in quads.remainder() {
+        if slope[r] > 0.0 {
+            d0 = d0.min(residual[r].max(0.0) / slope[r]);
         }
     }
+    d0.min(d1).min(d2).min(d3)
 }
 
 #[cfg(test)]

@@ -106,7 +106,7 @@ fn solve_compiled(
     capacities: &[f64],
 ) -> Vec<f64> {
     let demands = compile(entities);
-    solver.solve(&demands, &max_rates(entities), &pool_caps(&demands, capacities)).to_vec()
+    solver.solve(&demands, &max_rates(entities), &pool_caps(&demands, capacities), None).to_vec()
 }
 
 /// Asserts an [`IncrementalSolver`]'s `rates` are bitwise [`solve`]'s on
@@ -223,9 +223,9 @@ fn incremental_matches_from_scratch_bitwise() {
 
         let demands = compile(&entities);
         let caps = pool_caps(&demands, &capacities);
-        let cold = solver.solve(&demands, &max_rates(&entities), &caps).to_vec();
+        let cold = solver.solve(&demands, &max_rates(&entities), &caps, None).to_vec();
         assert_matches_solve(&cold, &entities, &capacities, "cold", seed);
-        let hit = solver.solve_same_demands(&demands, &max_rates(&entities), &caps);
+        let hit = solver.solve_same_demands(&demands, &max_rates(&entities), &caps, None);
         assert_bits_eq(hit, &cold, "cache hit: rate", seed);
 
         while !entities.is_empty() {
@@ -275,9 +275,9 @@ fn batched_solves_match_independent_when_all_candidates_share() {
                 })
                 .collect();
             let got = if c == 0 {
-                solver.solve(&demands, &max_rates(&cand), &caps)
+                solver.solve(&demands, &max_rates(&cand), &caps, None)
             } else {
-                solver.solve_same_demands(&demands, &max_rates(&cand), &caps)
+                solver.solve_same_demands(&demands, &max_rates(&cand), &caps, None)
             };
             let what = format!("all-share candidate {c}");
             assert_matches_solve(got, &cand, &capacities, &what, seed);
@@ -343,9 +343,9 @@ fn batched_prefix_reuse_survives_capacity_changes() {
             let caps: Vec<f64> = capacities.iter().map(|c| c * (1.0 + 0.1 * step as f64)).collect();
             let (rates, pools) = (max_rates(&base), pool_caps(&demands, &caps));
             let got = if step == 0 {
-                solver.solve(&demands, &rates, &pools)
+                solver.solve(&demands, &rates, &pools, None)
             } else {
-                solver.solve_same_demands(&demands, &rates, &pools)
+                solver.solve_same_demands(&demands, &rates, &pools, None)
             };
             assert_matches_solve(got, &base, &caps, "capacity sweep", seed);
         }
@@ -397,7 +397,7 @@ fn same_demand_solves_match_plain_solves() {
         let demands = compile(&entities);
         let mut caps = base_caps.clone();
         let mut known = IncrementalSolver::new();
-        known.solve(&demands, &max_rates(&entities), &pool_caps(&demands, &caps));
+        known.solve(&demands, &max_rates(&entities), &pool_caps(&demands, &caps), None);
         for step in 0..9 {
             match step % 3 {
                 0 => new_rate_caps(&mut rng, &mut entities),
@@ -405,7 +405,7 @@ fn same_demand_solves_match_plain_solves() {
                 _ => {}
             }
             let pools = pool_caps(&demands, &caps);
-            let got = known.solve_same_demands(&demands, &max_rates(&entities), &pools);
+            let got = known.solve_same_demands(&demands, &max_rates(&entities), &pools, None);
             assert_matches_solve(got, &entities, &caps, "same demands", seed);
         }
         let want = SolveStats { solves: 1, solves_skipped: 3, prefix_solves: 6 };
@@ -450,9 +450,9 @@ fn zero_entries_and_inactive_entities_match_the_spec() {
             new_rate_caps(&mut rng, &mut spec);
             spec[inactive].max_rate = 0.0;
             let got = if step == 0 {
-                solver.solve(&demands, &max_rates(&spec), &caps)
+                solver.solve(&demands, &max_rates(&spec), &caps, None)
             } else {
-                solver.solve_same_demands(&demands, &max_rates(&spec), &caps)
+                solver.solve_same_demands(&demands, &max_rates(&spec), &caps, None)
             };
             assert_eq!(got[inactive], 0.0, "inactive entity {inactive} moved (seed {seed})");
             let what = format!("zero entries, step {step}");
@@ -465,5 +465,145 @@ fn zero_entries_and_inactive_entities_match_the_spec() {
         let repeats = if spec.len() == 1 { 3 } else { 0 };
         let want = SolveStats { solves: 1, solves_skipped: repeats, prefix_solves: 3 - repeats };
         assert_eq!(solver.stats(), want, "one solve, then fills (seed {seed})");
+    }
+}
+
+/// `random_instance` with one more pool, which every entity also uses at
+/// a random position in its bundle: a pool that can saturate under every
+/// entity at the first step.
+fn shared_pool_instance(rng: &mut Rng) -> (Vec<EntityDemand>, Vec<f64>) {
+    let (mut entities, mut capacities) = random_instance(rng);
+    let shared = capacities.len();
+    capacities.push(rng.f64_in(0.5, 4.0));
+    for e in &mut entities {
+        let at = rng.usize_in(0, e.demands.len());
+        e.demands.insert(at, (shared, rng.f64_in(0.05, 6.0)));
+    }
+    (entities, capacities)
+}
+
+#[test]
+fn a_saturated_first_step_is_every_rate() {
+    // Whenever `first_step` says its step freezes every entity, any rate
+    // caps at or above the step (one of them exactly the step) leave the
+    // step as every rate, with the loads of `Demands::loads`; and a solve
+    // given the step is bitwise the one that scans for it.
+    let mut answered = 0;
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let (mut entities, capacities) = shared_pool_instance(&mut rng);
+        let demands = compile(&entities);
+        let caps = pool_caps(&demands, &capacities);
+        let mut solver = IncrementalSolver::new();
+        let (step, freezes_all) = solver.first_step(&demands, &caps);
+        if !freezes_all {
+            continue;
+        }
+        answered += 1;
+        for e in &mut entities {
+            e.max_rate = step * rng.f64_in(1.0, 3.0);
+        }
+        let at_step = rng.usize_in(0, entities.len() - 1);
+        entities[at_step].max_rate = step;
+        let want = vec![step; entities.len()];
+        let alloc = solve(&entities, &capacities);
+        assert_bits_eq(&alloc.rates, &want, "saturated step: rate", seed);
+        let loads = demands.loads(&want, capacities.len());
+        assert_bits_eq(&alloc.loads, &loads, "saturated step: load", seed);
+        let given = solver.solve(&demands, &max_rates(&entities), &caps, Some(step)).to_vec();
+        assert_bits_eq(&given, &want, "saturated step, given: rate", seed);
+        let mut scanning = IncrementalSolver::new();
+        let scanned = scanning.solve(&demands, &max_rates(&entities), &caps, None);
+        assert_bits_eq(scanned, &want, "saturated step, scanned: rate", seed);
+    }
+    assert!(answered >= CASES / 2, "only {answered} of {CASES} instances had a saturated step");
+}
+
+#[test]
+fn a_given_first_step_matches_a_scan() {
+    // `first_step`'s step spares the first filling round its scan: on any
+    // instance and any caps, including caps that are not positive (those
+    // entities start frozen, so the fill must scan after all), `solve` and
+    // `solve_same_demands` return the bits they return without it.
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let (mut entities, capacities) =
+            if seed % 2 == 0 { random_instance(&mut rng) } else { shared_pool_instance(&mut rng) };
+        let demands = compile(&entities);
+        let caps = pool_caps(&demands, &capacities);
+        let (mut given, mut scanned) = (IncrementalSolver::new(), IncrementalSolver::new());
+        let (step, _) = given.first_step(&demands, &caps);
+        for call in 0..4 {
+            new_rate_caps(&mut rng, &mut entities);
+            if call % 2 == 1 {
+                let frozen = rng.usize_in(0, entities.len() - 1);
+                entities[frozen].max_rate = 0.0;
+            }
+            let maxr = max_rates(&entities);
+            let (a, b) = if call == 0 {
+                let a = given.solve(&demands, &maxr, &caps, Some(step)).to_vec();
+                (a, scanned.solve(&demands, &maxr, &caps, None).to_vec())
+            } else {
+                let a = given.solve_same_demands(&demands, &maxr, &caps, Some(step)).to_vec();
+                (a, scanned.solve_same_demands(&demands, &maxr, &caps, None).to_vec())
+            };
+            assert_bits_eq(&a, &b, &format!("call {call}: rate"), seed);
+            assert_matches_solve(&a, &entities, &capacities, &format!("call {call}"), seed);
+        }
+    }
+}
+
+/// A two-entity structure on pools 0 and 1 with the given entries
+/// `(entity, pool, [low, high])`, entity 0 in its high phase and entity 1
+/// in its low phase.
+fn two_entities(entries: &[(usize, usize, [f64; 2])]) -> Demands {
+    let structure: Vec<(usize, usize)> = entries.iter().map(|&(e, r, _)| (e, r)).collect();
+    let pairs: Vec<[f64; 2]> = entries.iter().map(|&(_, _, pair)| pair).collect();
+    let mut demands = Demands::compile(2, &structure);
+    let slot_pairs = demands.in_slot_order(&pairs);
+    demands.set_values(&slot_pairs, &[true, false]);
+    demands
+}
+
+#[test]
+fn no_step_when_an_entity_escapes_the_saturating_pools() {
+    // Pool 0 (capacity 2) saturates at the first step, 2 / 4 = 0.5; pool 1
+    // (capacity 100) does not. Entity 1 keeps rising past the step in both
+    // cases, so no step may be claimed for it.
+    let caps = [2.0, 100.0];
+    // Its only entry on pool 0 is a low-phase value of 0.0.
+    let zero_low = two_entities(&[(0, 0, [1.0, 4.0]), (1, 0, [0.0, 4.0]), (1, 1, [1.0, 1.0])]);
+    // It never touches pool 0.
+    let elsewhere = two_entities(&[(0, 0, [1.0, 4.0]), (1, 1, [1.0, 1.0])]);
+    for (what, demands) in [("zero low-phase entry", &zero_low), ("untouched pool", &elsewhere)] {
+        let mut solver = IncrementalSolver::new();
+        assert_eq!(solver.first_step(demands, &caps), (0.5, false), "{what}");
+        let rates = solver.solve(demands, &[1.0, 1.0], &caps, Some(0.5));
+        assert_eq!(rates, [0.5, 1.0], "{what}: entity 1 rises to its cap");
+    }
+}
+
+#[test]
+fn a_cap_one_ulp_below_the_step_is_not_the_step() {
+    // The shortcut needs every cap at or above the step: one cap a single
+    // ulp below it binds first, and that entity's rate is its cap. So the
+    // engine must decline there and solve.
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let (mut entities, capacities) = shared_pool_instance(&mut rng);
+        let demands = compile(&entities);
+        let caps = pool_caps(&demands, &capacities);
+        let (step, freezes_all) = IncrementalSolver::new().first_step(&demands, &caps);
+        if !freezes_all {
+            continue;
+        }
+        let below = f64::from_bits(step.to_bits() - 1);
+        for e in &mut entities {
+            e.max_rate = step;
+        }
+        let low = rng.usize_in(0, entities.len() - 1);
+        entities[low].max_rate = below;
+        let alloc = solve(&entities, &capacities);
+        assert_eq!(alloc.rates[low].to_bits(), below.to_bits(), "capped entity (seed {seed})");
     }
 }
